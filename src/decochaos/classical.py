@@ -24,7 +24,6 @@ __all__ = [
     "ScalingFit",
     "propagate",
     "propagate_tangent",
-    "monodromy_matrix",
     "max_lyapunov",
     "divergence_integral",
     "divergence_from_trajectories",
@@ -112,6 +111,35 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
     return Trajectory(t, buf, _energies(model, buf))
 
 
+def _tangent_steps(model, dt, state, n):
+    """Advance (qx, qy, px, py, dqx, dqy, dpx, dpy) by n integrator steps.
+
+    The tangent part takes the exact Jacobian of each substep: drifts
+    shear q by p/m, kicks shear p by -Hessian(q) q.
+    """
+    qx, qy, px, py, dqx, dqy, dpx, dpy = state
+    inv_m = 1.0 / model.mass
+    a1 = _C1 * dt * inv_m
+    a2 = _C2 * dt * inv_m
+    b1 = _W1 * dt
+    b0 = _W0 * dt
+    stages = ((a1, b1), (a2, b0), (a2, b1))
+    force = model.force
+    hess = model.hessian_xy
+    for _ in range(n):
+        for a, b in stages:
+            qx += a * px; qy += a * py
+            dqx += a * dpx; dqy += a * dpy
+            fx, fy = force(qx, qy)
+            hxx, hxy, hyy = hess(qx, qy)
+            px += b * fx; py += b * fy
+            dpx -= b * (hxx * dqx + hxy * dqy)
+            dpy -= b * (hxy * dqx + hyy * dqy)
+        qx += a1 * px; qy += a1 * py
+        dqx += a1 * dpx; dqy += a1 * dpy
+    return qx, qy, px, py, dqx, dqy, dpx, dpy
+
+
 @dataclass
 class TangentSeries:
     """Tangent vector samples along a reference orbit."""
@@ -130,9 +158,7 @@ def propagate_tangent(model: HamiltonianModel, z0: PhasePoint, v0,
     """Integrate the variational equations along the orbit through z0.
 
     v0 is a phase-space displacement (PhasePoint or length-4 array); the
-    returned series holds the linearized image of v0 at every step. Each
-    substep applies the exact Jacobian of the corresponding integrator
-    substep (drifts shear q by p/m, kicks shear p by -Hessian(q) q).
+    returned series holds the linearized image of v0 at every step.
     """
     if isinstance(v0, PhasePoint):
         v0 = v0.as_array()
@@ -143,50 +169,21 @@ def propagate_tangent(model: HamiltonianModel, z0: PhasePoint, v0,
         raise DomainError("tangent v0 must be nonzero")
     _validate_step_args(dt, n_steps)
 
-    qx, qy, px, py = z0.qx, z0.qy, z0.px, z0.py
-    dqx, dqy, dpx, dpy = (float(v0[0]), float(v0[1]),
-                          float(v0[2]), float(v0[3]))
-    inv_m = 1.0 / model.mass
-    a1 = _C1 * dt * inv_m
-    a2 = _C2 * dt * inv_m
-    b1 = _W1 * dt
-    b0 = _W0 * dt
-    force = model.force
-    hess = model.hessian_xy
     r2 = escape_radius * escape_radius
-
     t = dt * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, 4))
-    out[0] = (dqx, dqy, dpx, dpy)
+    out[0] = v0
+    state = (z0.qx, z0.qy, z0.px, z0.py, *map(float, v0))
     for i in range(1, n_steps + 1):
-        for a, b in ((a1, b1), (a2, b0), (a2, b1)):
-            qx += a * px; qy += a * py
-            dqx += a * dpx; dqy += a * dpy
-            fx, fy = force(qx, qy)
-            hxx, hxy, hyy = hess(qx, qy)
-            px += b * fx; py += b * fy
-            dpx -= b * (hxx * dqx + hxy * dqy)
-            dpy -= b * (hxy * dqx + hyy * dqy)
-        qx += a1 * px; qy += a1 * py
-        dqx += a1 * dpx; dqy += a1 * dpy
+        state = _tangent_steps(model, dt, state, 1)
+        qx, qy = state[0], state[1]
         if not (qx * qx + qy * qy <= r2):
             raise EscapeError(
                 f"reference orbit escaped at t={t[i]:g}",
                 time=float(t[i - 1]),
                 state=None, trajectory=None)
-        out[i] = (dqx, dqy, dpx, dpy)
+        out[i] = state[4:]
     return TangentSeries(t, out)
-
-
-def monodromy_matrix(model: HamiltonianModel, z0: PhasePoint, dt: float,
-                     n_steps: int) -> np.ndarray:
-    """Linearized flow map over n_steps, columns = propagated basis vectors."""
-    cols = []
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = 1.0
-        cols.append(propagate_tangent(model, z0, e, dt, n_steps).v[-1])
-    return np.array(cols).T
 
 
 @dataclass
@@ -221,31 +218,13 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
 
-    qx, qy, px, py = z0.qx, z0.qy, z0.px, z0.py
-    dqx, dqy, dpx, dpy = map(float, v)
-    inv_m = 1.0 / model.mass
-    a1 = _C1 * dt * inv_m
-    a2 = _C2 * dt * inv_m
-    b1 = _W1 * dt
-    b0 = _W0 * dt
-    force = model.force
-    hess = model.hessian_xy
     r2 = escape_radius * escape_radius
-
+    state = (z0.qx, z0.qy, z0.px, z0.py, *map(float, v))
     log_sum = 0.0
     conv = np.empty((n_renorms, 2))
     for block in range(n_renorms):
-        for _ in range(k):
-            for a, b in ((a1, b1), (a2, b0), (a2, b1)):
-                qx += a * px; qy += a * py
-                dqx += a * dpx; dqy += a * dpy
-                fx, fy = force(qx, qy)
-                hxx, hxy, hyy = hess(qx, qy)
-                px += b * fx; py += b * fy
-                dpx -= b * (hxx * dqx + hxy * dqy)
-                dpy -= b * (hxy * dqx + hyy * dqy)
-            qx += a1 * px; qy += a1 * py
-            dqx += a1 * dpx; dqy += a1 * dpy
+        qx, qy, px, py, dqx, dqy, dpx, dpy = _tangent_steps(model, dt, state,
+                                                            k)
         if not (qx * qx + qy * qy <= r2):
             raise EscapeError(
                 "orbit escaped during Lyapunov estimation",
@@ -255,7 +234,7 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
         stretch = math.sqrt(dqx * dqx + dqy * dqy + dpx * dpx + dpy * dpy)
         log_sum += math.log(stretch)
         inv = 1.0 / stretch
-        dqx *= inv; dqy *= inv; dpx *= inv; dpy *= inv
+        state = (qx, qy, px, py, dqx * inv, dqy * inv, dpx * inv, dpy * inv)
         elapsed = (block + 1) * k * dt
         conv[block] = (elapsed, log_sum / elapsed)
     return LyapunovEstimate(

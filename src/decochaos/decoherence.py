@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ScalingFit, classify_scaling
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError, FitError, GridMismatchError
 from .series import (DecoherenceSeries, DivergenceSeries, DriveDifference,
                      ExpectationSeries, cumulative_trapezoid, uniform_dt)
 
@@ -164,7 +164,7 @@ def _fit_run(run: RegimeRun) -> ScalingFit | None:
         source = DivergenceSeries(g.t, g.gamma)
     try:
         return classify_scaling(source, run.fit_window)
-    except Exception:
+    except FitError:
         return None
 
 

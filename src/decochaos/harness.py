@@ -8,7 +8,6 @@ reproduces byte-identical numeric outputs.
 """
 from __future__ import annotations
 
-import csv
 import datetime as _dt
 import hashlib
 import json
@@ -53,8 +52,20 @@ DEFAULT_DELTA_SCALE = 1e-6      # |delta_z| as a fraction of shell diameter
 DEFAULT_THRESHOLD_FRACTION = 0.05
 
 
+def _real(value):
+    """A finite int or float; a bool is not a number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _count(value, least):
+    """An int (not a bool) of at least ``least``."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least)
+
+
 def _is_pow2(n):
-    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0
+    return _count(n, 1) and (n & (n - 1)) == 0
 
 
 def _vec4(value):
@@ -165,9 +176,7 @@ _KNOWN_KEYS = {"schema_version", "seed", "engine", "model", "initial",
 def _parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config mapping, aggregating every violation."""
     errors = []
-
-    def fail(msg):
-        errors.append(msg)
+    fail = errors.append
 
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a mapping"])
@@ -175,19 +184,43 @@ def _parse_config(data: dict) -> ExperimentConfig:
         if key not in _KNOWN_KEYS:
             fail(f"unknown config key {key!r}")
 
+    def section(key):
+        """data[key] if it is a mapping, else None (noted when given)."""
+        value = data.get(key)
+        if value is not None and not isinstance(value, dict):
+            fail(f"{key}: must be a mapping")
+            return None
+        return value
+
+    def positive(mapping, name, default=0.0):
+        """mapping[last part of name] as a positive finite float, or None
+        with the violation noted."""
+        value = mapping.get(name.rsplit(".", 1)[1], default)
+        if _real(value) and value > 0:
+            return float(value)
+        fail(f"{name}: must be a positive finite number")
+        return None
+
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         fail(f"schema_version {version!r} unsupported; this build reads "
              f"{SCHEMA_VERSION}")
 
     seed = data.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        fail("seed: a mandatory integer")
+    if not _count(seed, 0):
+        fail("seed: a mandatory non-negative integer")
         seed = 0
 
     engine = data.get("engine", "classical")
     if engine not in ENGINES:
         fail(f"engine: {engine!r} not one of {ENGINES}")
+
+    slug = data.get("slug")
+    if slug is not None and any(s in str(slug) for s in ("/", "\\", "..")):
+        fail("slug: must not contain '/', '\\' or '..'")
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        fail("output_dir: must be a path string")
 
     # model ------------------------------------------------------------
     model = None
@@ -198,7 +231,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
         family = m.get("family")
         params = m.get("params") or {}
         mass = m.get("mass", 1.0)
-        if family not in MODEL_FAMILIES:
+        if not (isinstance(family, str) and family in MODEL_FAMILIES):
             fail(f"model.family: {family!r} unknown; valid families: "
                  f"{', '.join(sorted(MODEL_FAMILIES))}")
         elif not isinstance(params, dict):
@@ -235,71 +268,56 @@ def _parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(it, dict):
         fail("integrator: section is mandatory")
     else:
-        dt = it.get("dt", 0.0)
+        n_errors = len(errors)
+        dt = positive(it, "integrator.dt")
         n_steps = it.get("n_steps", 0)
-        radius = it.get("escape_radius", 1e3)
-        bound = it.get("energy_drift_bound", DEFAULT_DRIFT_BOUND)
-        section_ok = True
-        if not (isinstance(dt, (int, float)) and dt > 0):
-            fail("integrator.dt: must be positive")
-            section_ok = False
-        if not (isinstance(n_steps, int) and n_steps >= 1):
+        if not _count(n_steps, 1):
             fail("integrator.n_steps: must be an integer >= 1")
-            section_ok = False
-        if not (isinstance(radius, (int, float)) and radius > 0):
-            fail("integrator.escape_radius: must be positive")
-            section_ok = False
-        if not (isinstance(bound, (int, float)) and bound > 0):
-            fail("integrator.energy_drift_bound: must be positive")
-            section_ok = False
-        if section_ok:
-            integ = IntegratorSpec(float(dt), int(n_steps), float(radius),
-                                   float(bound))
+        radius = positive(it, "integrator.escape_radius", 1e3)
+        bound = positive(it, "integrator.energy_drift_bound",
+                         DEFAULT_DRIFT_BOUND)
+        if len(errors) == n_errors:
+            integ = IntegratorSpec(dt, n_steps, radius, bound)
 
     # lyapunov -----------------------------------------------------------
     lyap = None
-    ly = data.get("lyapunov")
+    ly = section("lyapunov")
     if ly is not None:
-        if not isinstance(ly, dict):
-            fail("lyapunov: must be a mapping")
+        total = ly.get("total_time", 0.0)
+        renorm = ly.get("renorm_interval", 0.0)
+        own_dt = ly.get("dt")
+        step = own_dt if own_dt is not None else (integ.dt if integ
+                                                  else 0.0)
+        if own_dt is not None and not (_real(own_dt) and own_dt > 0):
+            fail("lyapunov.dt: must be a positive finite number")
+        elif not (_real(total) and _real(renorm)
+                  and total >= 10 * renorm >= 100 * step > 0):
+            fail("lyapunov: need total_time >= 10*renorm_interval "
+                 ">= 100*dt")
         else:
-            total = ly.get("total_time", 0.0)
-            renorm = ly.get("renorm_interval", 0.0)
-            own_dt = ly.get("dt")
-            step = own_dt if own_dt is not None else (integ.dt if integ
-                                                      else 0.0)
-            if own_dt is not None and not own_dt > 0:
-                fail("lyapunov.dt: must be positive")
-            elif not (total >= 10 * renorm >= 100 * step > 0):
-                fail("lyapunov: need total_time >= 10*renorm_interval "
-                     ">= 100*dt")
-            else:
-                lyap = LyapunovSpec(float(total), float(renorm),
-                                    None if own_dt is None else float(own_dt))
+            lyap = LyapunovSpec(float(total), float(renorm),
+                                None if own_dt is None else float(own_dt))
 
     # grid ---------------------------------------------------------------
     grid = None
-    g = data.get("grid")
-    if engine in ("quantum", "both") and not isinstance(g, dict):
+    g = section("grid")
+    if engine in ("quantum", "both") and g is None:
         fail("grid: section is mandatory for quantum engines")
-    if isinstance(g, dict):
+    if g is not None:
         nx, ny = g.get("nx", 0), g.get("ny", 0)
-        lx, ly_ = g.get("lx", 0.0), g.get("ly", 0.0)
-        hbar = g.get("hbar_eff", 1.0)
         widths = g.get("widths", None)
         sample_every = g.get("sample_every", 1)
         snapshots = bool(g.get("save_snapshots", False))
-        if not (_is_pow2(nx) and _is_pow2(ny) and nx >= 64 and ny >= 64):
+        pow2 = _is_pow2(nx) and _is_pow2(ny) and nx >= 64 and ny >= 64
+        if not pow2:
             fail("grid.nx/ny: must be powers of two, at least 64")
-        if not (lx > 0 and ly_ > 0):
-            fail("grid.lx/ly: must be positive")
-        if not hbar > 0:
-            fail("grid.hbar_eff: must be positive")
+        lx = positive(g, "grid.lx")
+        ly_ = positive(g, "grid.ly")
+        hbar = positive(g, "grid.hbar_eff", 1.0)
         if (not isinstance(widths, (list, tuple)) or len(widths) != 2
-                or not all(w > 0 for w in widths)):
+                or not all(_real(w) and w > 0 for w in widths)):
             fail("grid.widths: need two positive widths (sigma_x, sigma_y)")
-        elif _is_pow2(nx) and _is_pow2(ny) and nx >= 64 and lx > 0 \
-                and ly_ > 0:
+        elif pow2 and lx and ly_:
             dx, dy = lx / nx, ly_ / ny
             sx, sy = float(widths[0]), float(widths[1])
             if sx <= 2 * dx or sy <= 2 * dy:
@@ -307,54 +325,44 @@ def _parse_config(data: dict) -> ExperimentConfig:
                      f"({2 * dx:g}, {2 * dy:g})")
             if sx >= lx / 10 or sy >= ly_ / 10:
                 fail("grid.widths: must stay below a tenth of the box")
-        if not (isinstance(sample_every, int) and sample_every >= 1):
+        if not _count(sample_every, 1):
             fail("grid.sample_every: must be an integer >= 1")
         elif integ and integ.n_steps % sample_every != 0:
             fail("grid.sample_every: must divide integrator.n_steps")
         if not errors:
-            grid = GridSpec(int(nx), int(ny), float(lx), float(ly_),
-                            float(hbar), (float(widths[0]), float(widths[1])),
-                            int(sample_every), snapshots)
+            grid = GridSpec(nx, ny, lx, ly_, hbar,
+                            (float(widths[0]), float(widths[1])),
+                            sample_every, snapshots)
 
     # bath -----------------------------------------------------------------
     bath = None
-    b = data.get("bath")
+    b = section("bath")
     if b is not None:
-        if not isinstance(b, dict):
-            fail("bath: must be a mapping")
-        else:
-            coupling = b.get("coupling", 0.0)
-            omega_max = b.get("omega_max", 0.0)
-            temperature = b.get("temperature", 0.0)
-            n_modes = b.get("n_modes")
-            if not coupling > 0:
-                fail("bath.coupling: must be positive")
-            if not omega_max > 0:
-                fail("bath.omega_max: must be positive")
-            if not temperature > 0:
-                fail("bath.temperature: must be positive")
-            if n_modes is not None and not (isinstance(n_modes, int)
-                                            and n_modes >= 2):
-                fail("bath.n_modes: must be an integer >= 2")
-            if omega_max > 0 and integ is not None:
-                limit = math.pi / (10.0 * omega_max)
-                if integ.dt > limit * (1 + 1e-12):
-                    fail(f"integrator.dt: violates the bath sampling bound "
-                         f"dt <= pi/(10*omega_max) = {limit:g}")
-            if not errors:
-                bath = BathSpec(float(coupling), float(omega_max),
-                                float(temperature),
-                                None if n_modes is None else int(n_modes))
+        coupling = positive(b, "bath.coupling")
+        omega_max = positive(b, "bath.omega_max")
+        temperature = positive(b, "bath.temperature")
+        n_modes = b.get("n_modes")
+        if n_modes is not None and not _count(n_modes, 2):
+            fail("bath.n_modes: must be an integer >= 2")
+        if omega_max is not None and integ is not None:
+            limit = math.pi / (10.0 * omega_max)
+            if integ.dt > limit * (1 + 1e-12):
+                fail(f"integrator.dt: violates the bath sampling bound "
+                     f"dt <= pi/(10*omega_max) = {limit:g}")
+        if not errors:
+            bath = BathSpec(coupling, omega_max, temperature, n_modes)
 
     # fit, ehrenfest, superposition -----------------------------------------
     fit = FitSpec()
-    f = data.get("fit")
+    f = section("fit")
     if f is not None:
         window = f.get("window")
         expected = f.get("expected_scaling")
         if window is not None:
-            window = tuple(float(x) for x in window)
-            if len(window) != 2 or not window[0] < window[1]:
+            if (isinstance(window, (list, tuple)) and len(window) == 2
+                    and all(map(_real, window)) and window[0] < window[1]):
+                window = (float(window[0]), float(window[1]))
+            else:
                 fail("fit.window: need [t_lo, t_hi] with t_lo < t_hi")
                 window = None
         if expected is not None and expected not in ("power_law",
@@ -364,18 +372,14 @@ def _parse_config(data: dict) -> ExperimentConfig:
         fit = FitSpec(window, expected)
 
     ehren = EhrenfestSpec()
-    e = data.get("ehrenfest")
+    e = section("ehrenfest")
     if e is not None:
-        t_max = e.get("t_max")
-        threshold = e.get("threshold")
-        if t_max is not None and not t_max > 0:
-            fail("ehrenfest.t_max: must be positive")
-        if threshold is not None and not threshold > 0:
-            fail("ehrenfest.threshold: must be positive")
+        t_max = (None if e.get("t_max") is None
+                 else positive(e, "ehrenfest.t_max"))
+        threshold = (None if e.get("threshold") is None
+                     else positive(e, "ehrenfest.threshold"))
         if not errors:
-            ehren = EhrenfestSpec(
-                None if t_max is None else float(t_max),
-                None if threshold is None else float(threshold))
+            ehren = EhrenfestSpec(t_max, threshold)
 
     sup = data.get("superposition")
     weights = (0.7071067811865476, 0.7071067811865476)
@@ -399,7 +403,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
         seed=seed, model=model, initial=initial, integrator=integ,
         engine=engine, lyapunov=lyap, grid=grid, bath=bath, fit=fit,
         ehrenfest=ehren, superposition=weights,
-        output_dir=data.get("output_dir"), slug=data.get("slug"),
+        output_dir=output_dir, slug=slug,
         schema_version=SCHEMA_VERSION)
 
 
@@ -471,19 +475,43 @@ class RunRecord:
     checks: dict
     error: dict | None = None
 
-    def passed(self) -> bool:
-        return self.error is None and all(c["pass"]
-                                          for c in self.checks.values())
 
-
-def _run_dir(config: ExperimentConfig, out_override=None):
-    root = (out_override or config.output_dir
-            or os.environ.get(OUTPUT_ROOT_ENV) or "runs")
+def _run_dir(root, slug):
+    """Create <root>/<utc-timestamp>-<slug>; root falls back to
+    $DECOCHAOS_RUNS, then ./runs."""
+    root = root or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
     stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S.%f")
-    slug = config.slug or f"{config.model.family}-{config.engine}"
     path = os.path.join(root, f"{stamp}-{slug}")
     os.makedirs(path, exist_ok=False)
     return path
+
+
+def _write_record(rundir, started, config, files, results, checks,
+                  error=None) -> RunRecord:
+    """Checksum files into a manifest and write rundir/record.json."""
+    record = RunRecord(
+        path=rundir, config=config,
+        manifest={os.path.relpath(p, rundir): _sha256(p) for p in files},
+        results=_json_safe(results), checks=_json_safe(checks), error=error)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "wall_clock_seconds": time.perf_counter() - started,
+        "config": record.config,
+        "manifest": record.manifest,
+        "results": record.results,
+        "checks": record.checks,
+        "error": record.error,
+    }
+    with open(os.path.join(rundir, "record.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return record
 
 
 def _fit_to_dict(fit):
@@ -597,7 +625,7 @@ def _classical_stage(config, rundir, results, checks, files):
         files.append(path)
 
     dd = DriveDifference.from_trajectories(traj, traj2)
-    return model, z0, traj, diam, dd
+    return model, z0, traj, diam, dd, div
 
 
 def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
@@ -612,9 +640,6 @@ def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
         bath = discretize_bath(sd, bath_cfg.n_modes)
         oracle = decoherence_exponent_oracle(bath, dd, bath_cfg.temperature,
                                              engine=engine_label)
-        path = os.path.join(rundir, f"gamma_oracle_{engine_label}.csv")
-        write_csv(path, ["t", "gamma_oracle"], [oracle.t, oracle.gamma])
-        files.append(path)
 
     path = os.path.join(rundir, f"decoherence_{engine_label}.csv")
     if oracle is not None:
@@ -688,12 +713,20 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     Module failures are captured in the record (with whatever partial
     outputs already exist) rather than aborting the process.
     """
+    return _run(config, out_dir)[0]
+
+
+def _run(config, out_dir):
+    """run_experiment, plus the divergence series and the classical
+    asymptotic exponent it holds in memory (None if not computed)."""
     started = time.perf_counter()
-    rundir = _run_dir(config, out_dir)
+    rundir = _run_dir(out_dir or config.output_dir,
+                      config.slug or f"{config.model.family}-{config.engine}")
     files = []
     results = {}
     checks = {}
     error = None
+    div = gamma = None
 
     snapshot_path = os.path.join(rundir, "config.snapshot")
     with open(snapshot_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -701,12 +734,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     files.append(snapshot_path)
 
     try:
-        model, z0, traj, diam, dd = _classical_stage(
+        model, z0, traj, diam, dd, div = _classical_stage(
             config, rundir, results, checks, files)
         delta = results["delta_z"]
         if config.engine in ("classical", "both"):
-            _gamma_stage(config, rundir, results, checks, files, dd,
-                         "classical")
+            gamma = _gamma_stage(config, rundir, results, checks, files, dd,
+                                 "classical")
         if config.engine in ("quantum", "both"):
             dd_q = _quantum_stage(config, rundir, results, checks, files,
                                   model, z0, traj, diam, delta)
@@ -715,39 +748,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     except SimulationError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
 
-    manifest = {os.path.relpath(p, rundir): _sha256(p) for p in files}
-    record = RunRecord(path=rundir, config=config.to_dict(),
-                       manifest=manifest, results=_json_safe(results),
-                       checks=_json_safe(checks), error=error)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "wall_clock_seconds": time.perf_counter() - started,
-        "config": record.config,
-        "manifest": record.manifest,
-        "results": record.results,
-        "checks": record.checks,
-        "error": record.error,
-    }
-    with open(os.path.join(rundir, "record.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return record
-
-
-def _load_gamma_csv(rundir, engine_label):
-    path = os.path.join(rundir, f"decoherence_{engine_label}.csv")
-    with open(path, encoding="ascii") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    t = np.array([float(r["t"]) for r in rows])
-    g = np.array([float(r["gamma_asymptotic"]) for r in rows])
-    return t, g
+    record = _write_record(rundir, started, config.to_dict(), files, results,
+                           checks, error)
+    return record, div, gamma
 
 
 def compare_command(config_regular: ExperimentConfig,
@@ -790,51 +793,33 @@ def compare_command(config_regular: ExperimentConfig,
         raise ConfigError(problems)
 
     started = time.perf_counter()
-    rec_reg = run_experiment(config_regular, out_dir)
-    rec_cha = run_experiment(config_chaotic, out_dir)
-    for rec, name in ((rec_reg, "regular"), (rec_cha, "chaotic")):
+
+    def regime(cfg, label):
+        rec, div, gamma = _run(cfg, out_dir)
         if rec.error is not None:
-            raise SimulationError(f"{name} run failed: {rec.error}")
-
-    def regime(rec, cfg, label):
-        from .series import DecoherenceSeries, DivergenceSeries
-
-        t, g = _load_gamma_csv(rec.path, "classical")
-        gamma = DecoherenceSeries(t, g, source="asymptotic",
-                                  engine="classical")
-        with open(os.path.join(rec.path, "divergence.csv"),
-                  encoding="ascii") as fh:
-            rows = list(csv.DictReader(fh))
-        div = DivergenceSeries(
-            np.array([float(r["t"]) for r in rows]),
-            np.array([float(r["D"]) for r in rows]))
+            raise SimulationError(f"{label} run failed: {rec.error}")
         lam = (rec.results.get("lyapunov") or {}).get("lambda_max")
         recorded = rec.results.get("divergence_fit") or {}
         window = cfg.fit.window or (tuple(recorded["window"])
                                     if "window" in recorded else None)
-        return RegimeRun(label=label, gamma=gamma, divergence=div,
-                         lyapunov_max=lam, fit_window=window,
-                         ehrenfest_t_max=cfg.ehrenfest.t_max)
+        return rec.path, RegimeRun(label=label, gamma=gamma, divergence=div,
+                                   lyapunov_max=lam, fit_window=window,
+                                   ehrenfest_t_max=cfg.ehrenfest.t_max)
 
-    reg = regime(rec_reg, config_regular, "regular")
-    cha = regime(rec_cha, config_chaotic, "chaotic")
+    reg_path, reg = regime(config_regular, "regular")
+    cha_path, cha = regime(config_chaotic, "chaotic")
     comparison = compare_regimes(reg, cha, reg.gamma.t)
 
     # comparison artifacts live in their own run directory
-    root = (out_dir or config_chaotic.output_dir
-            or os.environ.get(OUTPUT_ROOT_ENV) or "runs")
-    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S.%f")
-    rundir = os.path.join(root, f"{stamp}-compare")
-    os.makedirs(rundir, exist_ok=False)
-
+    rundir = _run_dir(out_dir or config_chaotic.output_dir, "compare")
     files = []
     path = os.path.join(rundir, "gamma_ratio.csv")
     write_csv(path, ["t", "ratio"], [comparison.t, comparison.ratio])
     files.append(path)
 
     report = {
-        "regular_run": rec_reg.path,
-        "chaotic_run": rec_cha.path,
+        "regular_run": reg_path,
+        "chaotic_run": cha_path,
         "dominates": comparison.dominates,
         "t_star": comparison.t_star,
         "within_ehrenfest": comparison.within_ehrenfest,
@@ -859,28 +844,7 @@ def compare_command(config_regular: ExperimentConfig,
             report["ehrenfest_windows"], "pass":
             bool(comparison.within_ehrenfest)},
     }
-    manifest = {os.path.relpath(p, rundir): _sha256(p) for p in files}
-    record = RunRecord(path=rundir,
-                       config={"regular": config_regular.to_dict(),
-                               "chaotic": config_chaotic.to_dict()},
-                       manifest=manifest, results=_json_safe(report),
-                       checks=_json_safe(checks), error=None)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "wall_clock_seconds": time.perf_counter() - started,
-        "config": record.config,
-        "manifest": record.manifest,
-        "results": record.results,
-        "checks": record.checks,
-        "error": None,
-    }
-    with open(os.path.join(rundir, "record.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return record
+    return _write_record(rundir, started,
+                         {"regular": config_regular.to_dict(),
+                          "chaotic": config_chaotic.to_dict()},
+                         files, report, checks)

@@ -72,10 +72,6 @@ class PhasePoint:
         return PhasePoint(self.qx - other.qx, self.qy - other.qy,
                           self.px - other.px, self.py - other.py)
 
-    def scaled(self, factor: float) -> "PhasePoint":
-        return PhasePoint(self.qx * factor, self.qy * factor,
-                          self.px * factor, self.py * factor)
-
     def norm(self) -> float:
         return math.sqrt(self.qx ** 2 + self.qy ** 2
                          + self.px ** 2 + self.py ** 2)
@@ -211,9 +207,6 @@ class InvertedHarmonic(HamiltonianModel):
     def params(self):
         return {"k": self.k}
 
-    def lyapunov_exact(self) -> float:
-        return math.sqrt(self.k)
-
 
 class SeparableQuartic(HamiltonianModel):
     """V = (a qx^4 + b qy^4) / 4: generic regular (integrable) motion.
@@ -274,9 +267,6 @@ class HenonHeiles(HamiltonianModel):
 
     def params(self):
         return {"lam": self.lam}
-
-    def escape_energy(self) -> float:
-        return 1.0 / (6.0 * self.lam ** 2)
 
 
 class PullenEdmonds(HamiltonianModel):

@@ -99,12 +99,6 @@ class WavepacketState:
     def norm(self) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * self.grid.cell_area)
 
-    def edge_density(self) -> float:
-        """Largest per-cell probability along the box boundary."""
-        rho = np.abs(self.psi) ** 2 * self.grid.cell_area
-        return float(max(rho[0, :].max(), rho[-1, :].max(),
-                         rho[:, 0].max(), rho[:, -1].max()))
-
 
 def init_gaussian(grid: Grid2D, z: PhasePoint, widths) -> WavepacketState:
     """Normalized minimum-uncertainty Gaussian centered on z.

@@ -73,10 +73,6 @@ class Trajectory:
     def positions(self) -> np.ndarray:
         return self.z[:, :2]
 
-    @property
-    def momenta(self) -> np.ndarray:
-        return self.z[:, 2:]
-
     def energy_drift(self) -> float:
         """Max relative energy deviation from the initial value."""
         e0 = self.energy[0]

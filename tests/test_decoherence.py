@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy import euler_gamma
 from scipy.special import sici
 
+from decochaos import decoherence
 from decochaos.decoherence import (HartreeErrorEstimate, RegimeRun,
                                    asymptotic_exponent, compare_regimes,
                                    hartree_error, weight_w)
@@ -218,3 +219,19 @@ class TestCompareRegimes:
         assert out.regular_fit.kind == "power_law"
         assert out.regular_fit.exponent_or_rate == pytest.approx(3.0,
                                                                  abs=1e-6)
+
+    def test_only_fit_failures_mean_no_fit(self, monkeypatch):
+        t = np.linspace(0.0, 10.0, 101)
+        reg = RegimeRun("r", synthetic_gamma(t, t), fit_window=(20.0, 30.0))
+        cha = RegimeRun("c", synthetic_gamma(t, 2 * t),
+                        fit_window=(20.0, 30.0))
+        # an empty window is a FitError: the comparison goes on unfitted
+        out = compare_regimes(reg, cha, t)
+        assert out.regular_fit is None and out.chaotic_fit is None
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("programming error")
+
+        monkeypatch.setattr(decoherence, "classify_scaling", broken)
+        with pytest.raises(RuntimeError, match="programming error"):
+            compare_regimes(reg, cha, t)

@@ -1,4 +1,6 @@
 import copy
+import csv
+import dataclasses
 import json
 import os
 
@@ -7,9 +9,11 @@ import pytest
 import yaml
 
 from decochaos.cli import main as cli_main
+from decochaos.decoherence import RegimeRun, compare_regimes
 from decochaos.errors import ConfigError
 from decochaos.harness import (ExperimentConfig, compare_command, load_config,
                                run_experiment, write_csv)
+from decochaos.series import DecoherenceSeries, DivergenceSeries
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -39,6 +43,12 @@ def write_yaml(tmp_path, data, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
     return str(path)
+
+
+def read_columns(path, *keys):
+    with open(path, encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    return [np.array([float(r[k]) for r in rows]) for k in keys]
 
 
 class TestLoadConfig:
@@ -106,6 +116,26 @@ class TestLoadConfig:
             cfg = load_config(os.path.join(CONFIG_DIR, name))
             assert cfg.seed == 20260808
 
+    @pytest.mark.parametrize("change, field", [
+        ({"integrator": {"dt": 0.01, "n_steps": True}}, "n_steps"),
+        ({"bath": {"coupling": float("inf"), "omega_max": 10.0,
+                   "temperature": 1000.0}}, "bath.coupling"),
+        ({"bath": {"coupling": 1.0, "omega_max": float("nan"),
+                   "temperature": 1000.0}}, "bath.omega_max"),
+        ({"bath": {"coupling": 1.0, "omega_max": 10.0,
+                   "temperature": float("inf")}}, "bath.temperature"),
+        ({"slug": "../../etc"}, "slug"),
+        ({"slug": "nested/run"}, "slug"),
+        ({"slug": ".."}, "slug"),
+        ({"seed": -1}, "seed"),
+        ({"output_dir": 5}, "output_dir"),
+    ], ids=["n_steps-true", "coupling-inf", "omega_max-nan",
+            "temperature-inf", "slug-parent", "slug-separator", "slug-dots",
+            "seed-negative", "output_dir-number"])
+    def test_boundary_values_rejected(self, tmp_path, change, field):
+        with pytest.raises(ConfigError, match=field):
+            load_config(write_yaml(tmp_path, {**MINIMAL, **change}))
+
 
 class TestRunExperiment:
     def test_zero_displacement_yields_zero_gamma(self, tmp_path):
@@ -134,7 +164,6 @@ class TestRunExperiment:
             "divergence.csv": "t,D,separation,energy_drift",
             "decoherence_classical.csv":
                 "t,gamma_asymptotic,gamma_oracle,engine",
-            "gamma_oracle_classical.csv": "t,gamma_oracle",
             "trajectory.csv": "t,qx,qy,px,py,energy",
         }
         for name, header in headers.items():
@@ -143,6 +172,8 @@ class TestRunExperiment:
         row = open(os.path.join(record.path,
                                 "decoherence_classical.csv")).readlines()[1]
         assert row.strip().endswith(",classical")
+        # the oracle column lives in decoherence_<engine>.csv only
+        assert "gamma_oracle_classical.csv" not in record.manifest
 
     def test_both_engines_report_both(self, tmp_path):
         data = copy.deepcopy(SMALL_RUN)
@@ -296,6 +327,50 @@ class TestCompareCommand:
                 if r.split(",")[1] != "nan"]
         assert all(abs(v - 1.0) < 1e-12 for v in vals)
 
+    def test_in_memory_compare_matches_the_csv_path(self, tmp_path):
+        # compare builds both sides from the sub-runs' series in memory;
+        # rebuilt from their CSVs (17 digits round-trip a float64) the
+        # comparison must come out the same
+        def short(name):
+            cfg = load_config(os.path.join(CONFIG_DIR, name))
+            return dataclasses.replace(
+                cfg, integrator=dataclasses.replace(cfg.integrator,
+                                                    n_steps=6000),
+                bath=dataclasses.replace(cfg.bath, n_modes=None),
+                fit=dataclasses.replace(cfg.fit, window=None))
+
+        configs = {"regular": short("regular_quartic.yaml"),
+                   "chaotic": short("chaotic_henon.yaml")}
+        record = compare_command(configs["regular"], configs["chaotic"],
+                                 str(tmp_path / "runs"))
+        res = record.results
+
+        runs = {}
+        for label, cfg in configs.items():
+            rundir = res[f"{label}_run"]
+            t, g = read_columns(
+                os.path.join(rundir, "decoherence_classical.csv"),
+                "t", "gamma_asymptotic")
+            td, D = read_columns(os.path.join(rundir, "divergence.csv"),
+                                 "t", "D")
+            with open(os.path.join(rundir, "record.json")) as fh:
+                window = json.load(fh)["results"]["divergence_fit"]["window"]
+            runs[label] = RegimeRun(
+                label, DecoherenceSeries(t, g, source="asymptotic",
+                                         engine="classical"),
+                divergence=DivergenceSeries(td, D), fit_window=tuple(window),
+                ehrenfest_t_max=cfg.ehrenfest.t_max)
+        expected = compare_regimes(runs["regular"], runs["chaotic"],
+                                   runs["regular"].gamma.t)
+
+        assert expected.dominates and res["dominates"] is True
+        assert res["t_star"] == expected.t_star
+        assert res["chaotic_fit"]["exponent_or_rate"] == \
+            expected.chaotic_fit.exponent_or_rate
+        (ratio,) = read_columns(os.path.join(record.path, "gamma_ratio.csv"),
+                                "ratio")
+        np.testing.assert_array_equal(ratio, expected.ratio)
+
 
 class TestWriteCsv:
     def test_format_and_line_endings(self, tmp_path):
@@ -338,6 +413,24 @@ class TestCli:
         assert cli_main(["propagate", "--config", path, "--out", out]) == 0
         header = open(out).readline().strip()
         assert header == "t,qx,qy,px,py,energy"
+
+    @pytest.mark.parametrize("change", [
+        {"fit": {"window": "70, 300"}},
+        {"fit": [70.0, 300.0]},
+        {"grid": {"nx": 64, "ny": 64, "lx": "twelve", "ly": 12.0,
+                  "widths": [0.7, 0.7]}},
+        {"lyapunov": {"total_time": "2e4", "renorm_interval": 2.0}},
+        {"bath": {"coupling": "1.0", "omega_max": 10.0,
+                  "temperature": 1000.0}},
+        {"ehrenfest": [75.0]},
+        {"model": {"family": ["harmonic2d"]}},
+    ], ids=["fit.window-string", "fit-list", "grid.lx-string",
+            "lyapunov.total_time-string", "bath.coupling-string",
+            "ehrenfest-list", "model.family-list"])
+    def test_malformed_section_exits_1(self, tmp_path, capsys, change):
+        path = write_yaml(tmp_path, {**MINIMAL, **change})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_engine_override_revalidates(self, tmp_path):
         # quantum engine needs a grid section; the override must not
