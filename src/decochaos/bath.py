@@ -36,6 +36,8 @@ __all__ = [
 
 # A drive sampled coarser than this aliases the modes near the cutoff.
 DRIVE_SAMPLING_FACTOR = math.pi / 10.0
+# The oracle's phase matrix is built in row blocks of about this size.
+ORACLE_CHUNK_BYTES = 64 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,18 @@ class SpectralDensity:
             raise DomainError("coupling constant C must be positive")
         if not (self.omega_max > 0 and math.isfinite(self.omega_max)):
             raise DomainError("cutoff frequency omega_max must be positive")
+
+    @property
+    def max_drive_step(self) -> float:
+        """Coarsest drive step that resolves the cutoff, pi/(10 omega_max)."""
+        return DRIVE_SAMPLING_FACTOR / self.omega_max
+
+    def check_drive_step(self, dt: float, name: str = "drive step dt"):
+        """Raise DomainError if a drive sampled every dt aliases the cutoff."""
+        limit = self.max_drive_step
+        if dt > limit * (1 + 1e-12):
+            raise DomainError(f"{name} = {dt:g} aliases the bath cutoff; "
+                              f"need dt <= pi/(10*omega_max) = {limit:g}")
 
 
 def spectral_weight(sd: SpectralDensity, omega):
@@ -178,7 +192,6 @@ def _require_identity():
 def decoherence_exponent_oracle(bath: BathDiscretization,
                                 dd: DriveDifference,
                                 temperature: float,
-                                chunk_bytes: int = 64 * 2 ** 20,
                                 engine: str | None = None
                                 ) -> DecoherenceSeries:
     """Exact decoherence exponent of the discrete thermal bath.
@@ -190,21 +203,16 @@ def decoherence_exponent_oracle(bath: BathDiscretization,
     and y drive components address the two polarizations; the sum is
     accumulated in fixed mode order so results are reproducible.
     """
-    if not temperature > 0:
-        raise DomainError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise DomainError("temperature must be a positive finite number")
     _require_identity()
-    dt = dd.dt
-    w_top = float(bath.omegas[-1])
-    if dt > DRIVE_SAMPLING_FACTOR / w_top * (1 + 1e-12):
-        raise DomainError(
-            f"drive step dt={dt:g} aliases the bath cutoff; "
-            f"need dt <= pi/(10*omega_max) = {DRIVE_SAMPLING_FACTOR / w_top:g}")
+    bath.spectral.check_drive_step(dd.dt)
 
     strength = bath.weights * (thermal_occupation(bath.omegas, temperature)
                                + 0.5)
     gamma = np.zeros_like(dd.t)
     n_t = dd.t.size
-    rows = max(1, chunk_bytes // (n_t * 16))
+    rows = max(1, ORACLE_CHUNK_BYTES // (n_t * 16))
     for lo in range(0, bath.n_modes, rows):
         hi = min(lo + rows, bath.n_modes)
         block = strength[lo:hi, None]

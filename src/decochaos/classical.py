@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 DEFAULT_ESCAPE_RADIUS = 1e3
+# A growth-law fit needs this many positive samples in its window; r^2
+# values closer than the threshold flag the fit as ambiguous.
+MIN_FIT_SAMPLES = 20
+AMBIGUITY_THRESHOLD = 0.01
 
 # Yoshida fourth-order composition of drift-kick-drift leapfrog stages.
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -311,13 +315,12 @@ def _linfit(x, y):
     return float(slope), float(intercept), r2
 
 
-def classify_scaling(series, window=None, min_samples: int = 20,
-                     ambiguity_threshold: float = 0.01) -> ScalingFit:
+def classify_scaling(series, window=None) -> ScalingFit:
     """Decide between power-law and exponential growth of D(t).
 
     Both models are fit by least squares on log D (against log t and
     against t respectively) over the window; the better r^2 wins. The
-    window needs at least min_samples samples with D > 0.
+    window needs at least MIN_FIT_SAMPLES samples with D > 0.
     """
     t = np.asarray(series.t, dtype=float)
     D = np.asarray(series.D, dtype=float)
@@ -327,10 +330,10 @@ def classify_scaling(series, window=None, min_samples: int = 20,
     if not t_lo < t_hi:
         raise FitError(f"empty fit window ({t_lo}, {t_hi})")
     mask = (t >= t_lo) & (t <= t_hi) & (D > 0.0) & (t > 0.0)
-    if int(np.sum(mask)) < min_samples:
+    if int(np.sum(mask)) < MIN_FIT_SAMPLES:
         raise FitError(f"window ({t_lo}, {t_hi}) holds "
                        f"{int(np.sum(mask))} positive samples; "
-                       f"need >= {min_samples}")
+                       f"need >= {MIN_FIT_SAMPLES}")
     tw, logD = t[mask], np.log(D[mask])
     if np.all(logD == logD[0]):
         raise FitError("degenerate window: all D values equal")
@@ -340,7 +343,7 @@ def classify_scaling(series, window=None, min_samples: int = 20,
     power = ScalingFit("power_law", p_slope, p_r2, (t_lo, t_hi), p_icpt)
     expo = ScalingFit("exponential", e_slope, e_r2, (t_lo, t_hi), e_icpt)
     best, other = (power, expo) if p_r2 >= e_r2 else (expo, power)
-    if abs(p_r2 - e_r2) < ambiguity_threshold:
+    if abs(p_r2 - e_r2) < AMBIGUITY_THRESHOLD:
         best.ambiguous = True
         best.alternative = other
     return best

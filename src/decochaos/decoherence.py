@@ -41,8 +41,9 @@ def asymptotic_exponent(dd: DriveDifference, coupling: float,
     Non-decreasing by construction and zero exactly when the two drives
     coincide on the grid.
     """
-    if not (coupling > 0 and temperature > 0):
-        raise DomainError("coupling and temperature must be positive")
+    if not (0 < coupling < math.inf and 0 < temperature < math.inf):
+        raise DomainError("coupling and temperature must be positive finite "
+                          "numbers")
     dt = dd.dt
     integrand = dd.squared_magnitude()
     gamma = 0.5 * coupling * temperature * cumulative_trapezoid(integrand, dt)

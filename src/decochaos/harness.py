@@ -8,14 +8,16 @@ reproduces byte-identical numeric outputs.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import hashlib
 import json
 import math
 import os
 import platform
+import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 import scipy
@@ -29,7 +31,7 @@ from .classical import (classify_scaling, detect_saturation,
 from .decoherence import (RegimeRun, asymptotic_exponent, compare_regimes,
                           hartree_error)
 from .errors import ConfigError, SimulationError
-from .models import MODEL_FAMILIES, PhasePoint, make_model
+from .models import PhasePoint, make_model
 from .quantum import (Grid2D, ehrenfest_break_time, init_gaussian,
                       propagate_wavepacket, save_wavepacket)
 from .series import DriveDifference
@@ -53,26 +55,47 @@ DEFAULT_THRESHOLD_FRACTION = 0.05
 
 
 def _real(value):
-    """A finite int or float; a bool is not a number here."""
+    """An int or float within the float range; a bool is not a number."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
-def _count(value, least):
-    """An int (not a bool) of at least ``least``."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value >= least)
+def _key(name):
+    return name.rpartition(".")[2]
 
 
-def _is_pow2(n):
-    return _count(n, 1) and (n & (n - 1)) == 0
+def _positive(mapping, name, default=0.0):
+    """mapping[last part of name] as a positive finite float."""
+    value = mapping.get(_key(name), default)
+    if not (_real(value) and value > 0):
+        raise ConfigError([f"{name}: must be a positive finite number"])
+    return float(value)
 
 
-def _vec4(value):
-    vec = tuple(float(v) for v in value)
-    if len(vec) != 4 or not all(math.isfinite(v) for v in vec):
-        raise ValueError("expected 4 finite components")
-    return vec
+def _integer(mapping, name, least, default=None):
+    """mapping[last part of name] as an integer of at least ``least``."""
+    value = mapping.get(_key(name), default)
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and value >= least):
+        raise ConfigError([f"{name}: must be an integer >= {least}"])
+    return value
+
+
+def _mapping(parent, name, required=False):
+    """parent[last part of name] as a mapping; None if absent and optional."""
+    value = parent.get(_key(name))
+    if isinstance(value, dict) or value is None and not required:
+        return value
+    raise ConfigError([f"{name}: section is mandatory" if value is None
+                       else f"{name}: must be a mapping"])
+
+
+def _point(value):
+    """A list of four numbers as a tuple of floats; PhasePoint checks
+    the numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"need a list of 4 numbers, got {value!r}")
+    return astuple(PhasePoint(*value))
 
 
 @dataclass(frozen=True)
@@ -174,228 +197,155 @@ _KNOWN_KEYS = {"schema_version", "seed", "engine", "model", "initial",
 
 
 def _parse_config(data: dict) -> ExperimentConfig:
-    """Validate a raw config mapping, aggregating every violation."""
-    errors = []
-    fail = errors.append
+    """Validate a raw config mapping, aggregating every violation.
 
+    Each section validates by building the objects it configures (the
+    model, phase points, Grid2D, SpectralDensity); the first violation
+    in a section, a TypeError or ValueError included, becomes one entry
+    of the ConfigError. The rules that join sections live here.
+    """
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a mapping"])
-    for key in data:
-        if key not in _KNOWN_KEYS:
-            fail(f"unknown config key {key!r}")
+    errors = [f"unknown config key {key!r}" for key in data
+              if key not in _KNOWN_KEYS]
 
-    def section(key):
-        """data[key] if it is a mapping, else None (noted when given)."""
-        value = data.get(key)
-        if value is not None and not isinstance(value, dict):
-            fail(f"{key}: must be a mapping")
-            return None
-        return value
-
-    def positive(mapping, name, default=0.0):
-        """mapping[last part of name] as a positive finite float, or None
-        with the violation noted."""
-        value = mapping.get(name.rsplit(".", 1)[1], default)
-        if _real(value) and value > 0:
-            return float(value)
-        fail(f"{name}: must be a positive finite number")
-        return None
+    @contextlib.contextmanager
+    def section(name):
+        try:
+            yield
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+        except (TypeError, ValueError) as exc:
+            errors.append(f"{name}: {exc}")
 
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        fail(f"schema_version {version!r} unsupported; this build reads "
-             f"{SCHEMA_VERSION}")
-
-    seed = data.get("seed")
-    if not _count(seed, 0):
-        fail("seed: a mandatory non-negative integer")
-        seed = 0
-
+        errors.append(f"schema_version {version!r} unsupported; this build "
+                      f"reads {SCHEMA_VERSION}")
     engine = data.get("engine", "classical")
     if engine not in ENGINES:
-        fail(f"engine: {engine!r} not one of {ENGINES}")
-
+        errors.append(f"engine: {engine!r} not one of {ENGINES}")
     slug = data.get("slug")
-    if slug is not None and any(s in str(slug) for s in ("/", "\\", "..")):
-        fail("slug: must not contain '/', '\\' or '..'")
+    if slug is not None and not (isinstance(slug, str) and not any(
+            s in slug for s in ("/", "\\", ".."))):
+        errors.append("slug: must be a string without '/', '\\' or '..'")
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
-        fail("output_dir: must be a path string")
+        errors.append("output_dir: must be a path string")
 
-    # model ------------------------------------------------------------
-    model = None
-    m = data.get("model")
-    if not isinstance(m, dict):
-        fail("model: section is mandatory")
-    else:
-        family = m.get("family")
-        params = m.get("params") or {}
-        mass = m.get("mass", 1.0)
-        if not (isinstance(family, str) and family in MODEL_FAMILIES):
-            fail(f"model.family: {family!r} unknown; valid families: "
-                 f"{', '.join(sorted(MODEL_FAMILIES))}")
-        elif not isinstance(params, dict):
-            fail("model.params: must be a mapping")
-        else:
-            try:
-                spec = ModelSpec(family,
-                                 tuple(sorted((str(k), float(v))
-                                              for k, v in params.items())),
-                                 float(mass))
-                spec.build()
-                model = spec
-            except Exception as exc:
-                fail(f"model: {exc}")
-
-    # initial ----------------------------------------------------------
-    initial = None
-    ini = data.get("initial")
-    if not isinstance(ini, dict) or "z" not in ini:
-        fail("initial.z: section with a 4-component z is mandatory")
-    else:
-        try:
-            z = _vec4(ini["z"])
-            dz = _vec4(ini["delta_z"]) if ini.get("delta_z") is not None \
-                else None
-            alternates = tuple(_vec4(a) for a in ini.get("alternates", ()))
-            initial = InitialSpec(z, dz, alternates)
-        except Exception as exc:
-            fail(f"initial: {exc}")
-
-    # integrator ---------------------------------------------------------
-    integ = None
-    it = data.get("integrator")
-    if not isinstance(it, dict):
-        fail("integrator: section is mandatory")
-    else:
-        n_errors = len(errors)
-        dt = positive(it, "integrator.dt")
-        n_steps = it.get("n_steps", 0)
-        if not _count(n_steps, 1):
-            fail("integrator.n_steps: must be an integer >= 1")
-        radius = positive(it, "integrator.escape_radius", 1e3)
-        bound = positive(it, "integrator.energy_drift_bound",
-                         DEFAULT_DRIFT_BOUND)
-        if len(errors) == n_errors:
-            integ = IntegratorSpec(dt, n_steps, radius, bound)
-
-    # lyapunov -----------------------------------------------------------
-    lyap = None
-    ly = section("lyapunov")
-    if ly is not None:
-        total = ly.get("total_time", 0.0)
-        renorm = ly.get("renorm_interval", 0.0)
-        own_dt = ly.get("dt")
-        step = own_dt if own_dt is not None else (integ.dt if integ
-                                                  else 0.0)
-        if own_dt is not None and not (_real(own_dt) and own_dt > 0):
-            fail("lyapunov.dt: must be a positive finite number")
-        elif not (_real(total) and _real(renorm)
-                  and total >= 10 * renorm >= 100 * step > 0):
-            fail("lyapunov: need total_time >= 10*renorm_interval "
-                 ">= 100*dt")
-        else:
-            lyap = LyapunovSpec(float(total), float(renorm),
-                                None if own_dt is None else float(own_dt))
-
-    # grid ---------------------------------------------------------------
-    grid = None
-    g = section("grid")
-    if engine in ("quantum", "both") and g is None:
-        fail("grid: section is mandatory for quantum engines")
-    if g is not None:
-        nx, ny = g.get("nx", 0), g.get("ny", 0)
-        widths = g.get("widths", None)
-        sample_every = g.get("sample_every", 1)
-        snapshots = bool(g.get("save_snapshots", False))
-        pow2 = _is_pow2(nx) and _is_pow2(ny) and nx >= 64 and ny >= 64
-        if not pow2:
-            fail("grid.nx/ny: must be powers of two, at least 64")
-        lx = positive(g, "grid.lx")
-        ly_ = positive(g, "grid.ly")
-        hbar = positive(g, "grid.hbar_eff", 1.0)
-        if (not isinstance(widths, (list, tuple)) or len(widths) != 2
-                or not all(_real(w) and w > 0 for w in widths)):
-            fail("grid.widths: need two positive widths (sigma_x, sigma_y)")
-        elif pow2 and lx and ly_:
-            dx, dy = lx / nx, ly_ / ny
-            sx, sy = float(widths[0]), float(widths[1])
-            if sx <= 2 * dx or sy <= 2 * dy:
-                fail(f"grid.widths: must exceed two grid cells "
-                     f"({2 * dx:g}, {2 * dy:g})")
-            if sx >= lx / 10 or sy >= ly_ / 10:
-                fail("grid.widths: must stay below a tenth of the box")
-        if not _count(sample_every, 1):
-            fail("grid.sample_every: must be an integer >= 1")
-        elif integ and integ.n_steps % sample_every != 0:
-            fail("grid.sample_every: must divide integrator.n_steps")
-        if not errors:
-            grid = GridSpec(nx, ny, lx, ly_, hbar,
-                            (float(widths[0]), float(widths[1])),
-                            sample_every, snapshots)
-
-    # bath -----------------------------------------------------------------
-    bath = None
-    b = section("bath")
-    if b is not None:
-        coupling = positive(b, "bath.coupling")
-        omega_max = positive(b, "bath.omega_max")
-        temperature = positive(b, "bath.temperature")
-        n_modes = b.get("n_modes")
-        if n_modes is not None and not _count(n_modes, 2):
-            fail("bath.n_modes: must be an integer >= 2")
-        if omega_max is not None and integ is not None:
-            limit = math.pi / (10.0 * omega_max)
-            if integ.dt > limit * (1 + 1e-12):
-                fail(f"integrator.dt: violates the bath sampling bound "
-                     f"dt <= pi/(10*omega_max) = {limit:g}")
-        if not errors:
-            bath = BathSpec(coupling, omega_max, temperature, n_modes)
-
-    # fit, ehrenfest, superposition -----------------------------------------
-    fit = FitSpec()
-    f = section("fit")
-    if f is not None:
-        window = f.get("window")
-        expected = f.get("expected_scaling")
-        if window is not None:
-            if (isinstance(window, (list, tuple)) and len(window) == 2
-                    and all(map(_real, window)) and window[0] < window[1]):
-                window = (float(window[0]), float(window[1]))
-            else:
-                fail("fit.window: need [t_lo, t_hi] with t_lo < t_hi")
-                window = None
-        if expected is not None and expected not in ("power_law",
-                                                     "exponential"):
-            fail("fit.expected_scaling: must be power_law or exponential")
-            expected = None
-        fit = FitSpec(window, expected)
-
-    ehren = EhrenfestSpec()
-    e = section("ehrenfest")
-    if e is not None:
-        t_max = (None if e.get("t_max") is None
-                 else positive(e, "ehrenfest.t_max"))
-        threshold = (None if e.get("threshold") is None
-                     else positive(e, "ehrenfest.threshold"))
-        if not errors:
-            ehren = EhrenfestSpec(t_max, threshold)
-
-    sup = data.get("superposition")
+    seed = model = initial = integ = lyap = grid = bath = None
+    fit, ehren = FitSpec(), EhrenfestSpec()
     weights = (0.7071067811865476, 0.7071067811865476)
-    if sup is not None:
-        try:
-            weights = (float(sup["c1"]), float(sup["c2"]))
-        except Exception:
-            fail("superposition: need scalar c1 and c2")
+    with section("seed"):
+        seed = _integer(data, "seed", 0)
 
-    if (bath is not None and bath.n_modes is not None and grid is not None
-            and integ is not None and engine in ("quantum", "both")):
-        limit = math.pi / (10.0 * bath.omega_max)
-        step = integ.dt * grid.sample_every
-        if step > limit * (1 + 1e-12):
-            fail(f"grid.sample_every: quantum drive step dt*sample_every = "
-                 f"{step:g} violates the bath sampling bound {limit:g}")
+    with section("model"):
+        m = _mapping(data, "model", required=True)
+        params = _mapping(m, "model.params") or {}
+        family, mass = m.get("family"), m.get("mass", 1.0)
+        make_model(family, params, mass)
+        model = ModelSpec(family, tuple(sorted(
+            (k, float(v)) for k, v in params.items())), float(mass))
+
+    with section("initial"):
+        ini = _mapping(data, "initial", required=True)
+        delta_z = ini.get("delta_z")
+        initial = InitialSpec(
+            _point(ini.get("z")),
+            None if delta_z is None else _point(delta_z),
+            tuple(map(_point, ini.get("alternates", ()))))
+
+    with section("integrator"):
+        it = _mapping(data, "integrator", required=True)
+        integ = IntegratorSpec(
+            _positive(it, "integrator.dt"),
+            _integer(it, "integrator.n_steps", 1),
+            _positive(it, "integrator.escape_radius", 1e3),
+            _positive(it, "integrator.energy_drift_bound",
+                      DEFAULT_DRIFT_BOUND))
+
+    with section("lyapunov"):
+        ly = _mapping(data, "lyapunov")
+        if ly is not None:
+            own_dt = (None if ly.get("dt") is None
+                      else _positive(ly, "lyapunov.dt"))
+            total = ly.get("total_time", 0.0)
+            renorm = ly.get("renorm_interval", 0.0)
+            step = own_dt or (integ.dt if integ else 0.0)
+            if not (_real(total) and _real(renorm)
+                    and total >= 10 * renorm >= 100 * step > 0):
+                raise ConfigError(["lyapunov: need total_time >= "
+                                   "10*renorm_interval >= 100*dt"])
+            lyap = LyapunovSpec(float(total), float(renorm), own_dt)
+
+    with section("grid"):
+        g = _mapping(data, "grid")
+        if g is None and engine in ("quantum", "both"):
+            raise ConfigError(["grid: section is mandatory for quantum "
+                               "engines"])
+        if g is not None:
+            box = Grid2D(g.get("nx", 0), g.get("ny", 0),
+                         _positive(g, "grid.lx"), _positive(g, "grid.ly"),
+                         _positive(g, "grid.hbar_eff", 1.0))
+            widths = box.gaussian_widths(g.get("widths"))
+            every = _integer(g, "grid.sample_every", 1, 1)
+            if integ and integ.n_steps % every != 0:
+                raise ConfigError(["grid.sample_every: must divide "
+                                   "integrator.n_steps"])
+            snapshots = g.get("save_snapshots", False)
+            if not isinstance(snapshots, bool):
+                raise ConfigError(["grid.save_snapshots: must be true or "
+                                   "false"])
+            grid = GridSpec(box.nx, box.ny, box.lx, box.ly, box.hbar, widths,
+                            every, snapshots)
+
+    with section("bath"):
+        b = _mapping(data, "bath")
+        if b is not None:
+            sd = SpectralDensity(_positive(b, "bath.coupling"),
+                                 _positive(b, "bath.omega_max"))
+            temperature = _positive(b, "bath.temperature")
+            n_modes = (None if b.get("n_modes") is None
+                       else _integer(b, "bath.n_modes", 2))
+            if integ is not None:
+                sd.check_drive_step(integ.dt, "integrator.dt")
+            if (n_modes is not None and grid is not None and integ is not None
+                    and engine in ("quantum", "both")):
+                sd.check_drive_step(integ.dt * grid.sample_every,
+                                    "grid.sample_every: quantum drive step "
+                                    "dt*sample_every")
+            bath = BathSpec(sd.coupling, sd.omega_max, temperature, n_modes)
+
+    with section("fit"):
+        f = _mapping(data, "fit")
+        if f is not None:
+            window = f.get("window")
+            expected = f.get("expected_scaling")
+            if window is not None and not (
+                    isinstance(window, (list, tuple)) and len(window) == 2
+                    and all(map(_real, window)) and window[0] < window[1]):
+                raise ConfigError(["fit.window: need [t_lo, t_hi] with "
+                                   "t_lo < t_hi"])
+            if expected not in (None, "power_law", "exponential"):
+                raise ConfigError(["fit.expected_scaling: must be power_law "
+                                   "or exponential"])
+            fit = FitSpec(None if window is None
+                          else (float(window[0]), float(window[1])), expected)
+
+    with section("ehrenfest"):
+        e = _mapping(data, "ehrenfest")
+        if e is not None:
+            ehren = EhrenfestSpec(*(
+                None if e.get(k) is None else _positive(e, f"ehrenfest.{k}")
+                for k in ("t_max", "threshold")))
+
+    with section("superposition"):
+        sup = _mapping(data, "superposition")
+        if sup is not None:
+            if not (_real(sup.get("c1")) and _real(sup.get("c2"))):
+                raise ConfigError(["superposition: c1 and c2 must be finite "
+                                   "numbers"])
+            weights = (float(sup["c1"]), float(sup["c2"]))
 
     if errors:
         raise ConfigError(errors)

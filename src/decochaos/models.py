@@ -11,6 +11,7 @@ bookkeeping runs vectorized.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ def _require_finite(name, *values):
             raise DomainError(f"{name} must be finite, got {v!r}")
 
 
+def _finite_real(value) -> bool:
+    """An int or float within the float range; a bool is not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A point (qx, qy, px, py) of the four-dimensional phase space."""
@@ -48,7 +55,7 @@ class PhasePoint:
     def __post_init__(self):
         for name in ("qx", "qy", "px", "py"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _finite_real(v):
                 raise DomainError(f"PhasePoint.{name} must be a finite real "
                                   f"number, got {v!r}")
             object.__setattr__(self, name, float(v))
@@ -81,17 +88,22 @@ class HamiltonianModel:
     """Base class: a 2D potential V(qx, qy) plus standard kinetic energy.
 
     Subclasses implement ``potential_xy``, ``grad_xy`` and ``hessian_xy``
-    with plain arithmetic so both scalars and arrays pass through.
+    with plain arithmetic so both scalars and arrays pass through, and
+    pass their parameters to this constructor, which stores each as a
+    float attribute once it is a finite real number.
     """
 
     family = "base"
 
-    def __init__(self, mass: float = 1.0):
-        if not (isinstance(mass, (int, float)) and math.isfinite(mass)
-                and mass > 0):
-            raise DomainError(f"mass must be a positive finite number, "
-                              f"got {mass!r}")
-        self.mass = float(mass)
+    def __init__(self, mass: float = 1.0, **params):
+        for name, value in {"mass": mass, **params}.items():
+            if not _finite_real(value):
+                raise DomainError(f"{name} must be a finite real number, "
+                                  f"got {value!r}")
+            setattr(self, name, float(value))
+        if not self.mass > 0:
+            raise DomainError(f"mass must be positive, got {mass!r}")
+        self._params = {name: getattr(self, name) for name in params}
 
     # family-specific pieces -------------------------------------------------
 
@@ -136,7 +148,7 @@ class HamiltonianModel:
         return (px ** 2 + py ** 2) / (2.0 * self.mass)
 
     def params(self) -> dict:
-        raise NotImplementedError
+        return dict(self._params)
 
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
@@ -154,11 +166,9 @@ class Harmonic2D(HamiltonianModel):
 
     def __init__(self, omega_x: float = 1.0, omega_y: float = 1.0,
                  mass: float = 1.0):
-        super().__init__(mass)
+        super().__init__(mass, omega_x=omega_x, omega_y=omega_y)
         if not (omega_x > 0 and omega_y > 0):
             raise DomainError("Harmonic2D frequencies must be positive")
-        self.omega_x = float(omega_x)
-        self.omega_y = float(omega_y)
 
     def potential_xy(self, qx, qy):
         return 0.5 * self.mass * (self.omega_x ** 2 * qx ** 2
@@ -173,9 +183,6 @@ class Harmonic2D(HamiltonianModel):
         kyy = self.mass * self.omega_y ** 2
         return (kxx + 0.0 * qx, 0.0 * qx, kyy + 0.0 * qx)
 
-    def params(self):
-        return {"omega_x": self.omega_x, "omega_y": self.omega_y}
-
 
 class InvertedHarmonic(HamiltonianModel):
     """V = (m/2) (-k qx^2 + qy^2): a saddle along x embedded in 2D.
@@ -189,10 +196,9 @@ class InvertedHarmonic(HamiltonianModel):
     family = "inverted_harmonic"
 
     def __init__(self, k: float = 1.0, mass: float = 1.0):
-        super().__init__(mass)
+        super().__init__(mass, k=k)
         if not k > 0:
             raise DomainError("InvertedHarmonic stiffness k must be positive")
-        self.k = float(k)
 
     def potential_xy(self, qx, qy):
         return 0.5 * self.mass * (-self.k * qx ** 2 + qy ** 2)
@@ -203,9 +209,6 @@ class InvertedHarmonic(HamiltonianModel):
     def hessian_xy(self, qx, qy):
         return (-self.mass * self.k + 0.0 * qx, 0.0 * qx,
                 self.mass + 0.0 * qx)
-
-    def params(self):
-        return {"k": self.k}
 
 
 class SeparableQuartic(HamiltonianModel):
@@ -218,11 +221,9 @@ class SeparableQuartic(HamiltonianModel):
     family = "separable_quartic"
 
     def __init__(self, a: float = 1.0, b: float = 1.0, mass: float = 1.0):
-        super().__init__(mass)
+        super().__init__(mass, a=a, b=b)
         if a < 0 or b < 0:
             raise DomainError("SeparableQuartic coefficients must be >= 0")
-        self.a = float(a)
-        self.b = float(b)
 
     def potential_xy(self, qx, qy):
         return 0.25 * (self.a * qx ** 4 + self.b * qy ** 4)
@@ -232,9 +233,6 @@ class SeparableQuartic(HamiltonianModel):
 
     def hessian_xy(self, qx, qy):
         return (3.0 * self.a * qx ** 2, 0.0 * qx, 3.0 * self.b * qy ** 2)
-
-    def params(self):
-        return {"a": self.a, "b": self.b}
 
 
 class HenonHeiles(HamiltonianModel):
@@ -247,10 +245,9 @@ class HenonHeiles(HamiltonianModel):
     family = "henon_heiles"
 
     def __init__(self, lam: float = 1.0, mass: float = 1.0):
-        super().__init__(mass)
+        super().__init__(mass, lam=lam)
         if not lam > 0:
             raise DomainError("HenonHeiles coupling lam must be positive")
-        self.lam = float(lam)
 
     def potential_xy(self, qx, qy):
         return (0.5 * (qx ** 2 + qy ** 2)
@@ -265,9 +262,6 @@ class HenonHeiles(HamiltonianModel):
                 2.0 * self.lam * qx,
                 1.0 - 2.0 * self.lam * qy)
 
-    def params(self):
-        return {"lam": self.lam}
-
 
 class PullenEdmonds(HamiltonianModel):
     """V = (qx^2 + qy^2)/2 + alpha qx^2 qy^2: confining and chaotic."""
@@ -275,10 +269,9 @@ class PullenEdmonds(HamiltonianModel):
     family = "pullen_edmonds"
 
     def __init__(self, alpha: float = 1.0, mass: float = 1.0):
-        super().__init__(mass)
+        super().__init__(mass, alpha=alpha)
         if not alpha > 0:
             raise DomainError("PullenEdmonds coupling alpha must be positive")
-        self.alpha = float(alpha)
 
     def potential_xy(self, qx, qy):
         return 0.5 * (qx ** 2 + qy ** 2) + self.alpha * qx ** 2 * qy ** 2
@@ -292,9 +285,6 @@ class PullenEdmonds(HamiltonianModel):
                 4.0 * self.alpha * qx * qy,
                 1.0 + 2.0 * self.alpha * qx ** 2)
 
-    def params(self):
-        return {"alpha": self.alpha}
-
 
 MODEL_FAMILIES = {
     cls.family: cls
@@ -306,10 +296,9 @@ MODEL_FAMILIES = {
 def make_model(family: str, params: dict | None = None,
                mass: float = 1.0) -> HamiltonianModel:
     """Construct a model by family name; unknown names list the valid ones."""
-    try:
-        cls = MODEL_FAMILIES[family]
-    except KeyError:
+    cls = MODEL_FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
         valid = ", ".join(sorted(MODEL_FAMILIES))
         raise DomainError(f"unknown model family {family!r}; "
-                          f"valid families: {valid}") from None
+                          f"valid families: {valid}")
     return cls(**(params or {}), mass=mass)

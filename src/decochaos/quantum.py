@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BoundaryLeakError, DomainError, GridError,
                      GridMismatchError, NormDriftError)
-from .models import HamiltonianModel, PhasePoint
+from .models import HamiltonianModel, PhasePoint, _finite_real
 from .series import ExpectationSeries, Trajectory
 
 __all__ = [
@@ -40,8 +40,9 @@ BOUNDARY_DENSITY_TOL = 1e-10
 NORM_DRIFT_TOL = 1e-8
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_pow2(n) -> bool:
+    return (isinstance(n, int) and not isinstance(n, bool) and n >= 1
+            and (n & (n - 1)) == 0)
 
 
 class Grid2D:
@@ -55,28 +56,38 @@ class Grid2D:
         Box lengths; the box is centered on the origin.
     hbar_eff : float
         Effective Planck constant used by every operator on this grid.
+
+    The position and wavenumber meshes X, Y, KX, KY and k2 are built on
+    first use, so a grid made only to validate its inputs allocates
+    nothing that grows with nx * ny.
     """
 
     def __init__(self, nx: int, ny: int, lx: float, ly: float,
                  hbar_eff: float = 1.0):
         if not (_is_pow2(nx) and _is_pow2(ny) and nx >= 64 and ny >= 64):
-            raise GridError("nx and ny must be powers of two, at least 64")
-        if not (lx > 0 and ly > 0 and math.isfinite(lx) and math.isfinite(ly)):
-            raise GridError("box lengths must be positive finite")
-        if not (hbar_eff > 0 and math.isfinite(hbar_eff)):
-            raise GridError("hbar_eff must be positive finite")
-        self.nx, self.ny = int(nx), int(ny)
+            raise GridError("nx and ny must be integer powers of two >= 64")
+        if not all(_finite_real(v) and v > 0 for v in (lx, ly)):
+            raise GridError("box lengths must be positive finite numbers")
+        if not (_finite_real(hbar_eff) and hbar_eff > 0):
+            raise GridError("hbar_eff must be a positive finite number")
+        self.nx, self.ny = nx, ny
         self.lx, self.ly = float(lx), float(ly)
         self.hbar = float(hbar_eff)
         self.dx = self.lx / self.nx
         self.dy = self.ly / self.ny
-        self.x = (np.arange(self.nx) - self.nx // 2) * self.dx
-        self.y = (np.arange(self.ny) - self.ny // 2) * self.dy
-        self.X, self.Y = np.meshgrid(self.x, self.y, indexing="ij")
+
+    def __getattr__(self, name):
+        # called only for attributes not set yet: build every mesh once
+        if name not in ("X", "Y", "KX", "KY", "k2"):
+            raise AttributeError(name)
+        x = (np.arange(self.nx) - self.nx // 2) * self.dx
+        y = (np.arange(self.ny) - self.ny // 2) * self.dy
+        self.X, self.Y = np.meshgrid(x, y, indexing="ij")
         kx = 2.0 * math.pi * np.fft.fftfreq(self.nx, d=self.dx)
         ky = 2.0 * math.pi * np.fft.fftfreq(self.ny, d=self.dy)
         self.KX, self.KY = np.meshgrid(kx, ky, indexing="ij")
         self.k2 = self.KX ** 2 + self.KY ** 2
+        return getattr(self, name)
 
     @property
     def cell_area(self) -> float:
@@ -86,6 +97,21 @@ class Grid2D:
         return (isinstance(other, Grid2D)
                 and (self.nx, self.ny, self.lx, self.ly, self.hbar)
                 == (other.nx, other.ny, other.lx, other.ly, other.hbar))
+
+    def gaussian_widths(self, widths) -> tuple:
+        """(sigma_x, sigma_y) as floats, each above two grid cells and
+        below a tenth of the box."""
+        if not (isinstance(widths, (list, tuple)) and len(widths) == 2
+                and all(map(_finite_real, widths))):
+            raise GridError(f"widths must be two numbers, got {widths!r}")
+        sx, sy = float(widths[0]), float(widths[1])
+        if not (2.0 * self.dx < sx < self.lx / 10.0
+                and 2.0 * self.dy < sy < self.ly / 10.0):
+            raise GridError(
+                f"widths ({sx:g}, {sy:g}) must exceed two grid cells "
+                f"({2 * self.dx:g}, {2 * self.dy:g}) and stay below a "
+                f"tenth of the box ({self.lx / 10:g}, {self.ly / 10:g})")
+        return sx, sy
 
 
 @dataclass
@@ -104,15 +130,10 @@ def init_gaussian(grid: Grid2D, z: PhasePoint, widths) -> WavepacketState:
     """Normalized minimum-uncertainty Gaussian centered on z.
 
     widths = (sigma_x, sigma_y) are the position standard deviations;
-    the momentum spreads are hbar_eff / (2 sigma). Widths must exceed
-    two grid cells and stay below a tenth of the box.
+    the momentum spreads are hbar_eff / (2 sigma). The grid checks the
+    widths (Grid2D.gaussian_widths).
     """
-    sx, sy = float(widths[0]), float(widths[1])
-    if sx <= 2.0 * grid.dx or sy <= 2.0 * grid.dy:
-        raise GridError(f"widths ({sx:g}, {sy:g}) must exceed two grid cells "
-                        f"({2 * grid.dx:g}, {2 * grid.dy:g})")
-    if sx >= grid.lx / 10.0 or sy >= grid.ly / 10.0:
-        raise GridError("widths must stay below a tenth of the box")
+    sx, sy = grid.gaussian_widths(widths)
     dx_ = grid.X - z.qx
     dy_ = grid.Y - z.qy
     phase = (z.px * grid.X + z.py * grid.Y) / grid.hbar
@@ -122,8 +143,7 @@ def init_gaussian(grid: Grid2D, z: PhasePoint, widths) -> WavepacketState:
     return WavepacketState(grid, psi, 0.0)
 
 
-def _position_moments(grid, psi):
-    rho = (psi.real ** 2 + psi.imag ** 2) * grid.cell_area
+def _position_moments(grid, rho):
     mx = float(np.sum(rho * grid.X))
     my = float(np.sum(rho * grid.Y))
     vx = float(np.sum(rho * (grid.X - mx) ** 2))
@@ -144,16 +164,14 @@ def _momentum_moments(grid, psi):
 
 def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
                          dt: float, n_steps: int, sample_every: int = 1,
-                         track_momentum: bool = False,
-                         boundary_tol: float = BOUNDARY_DENSITY_TOL,
-                         norm_tol: float = NORM_DRIFT_TOL):
+                         track_momentum: bool = False):
     """Split-step evolution under the bare system Hamiltonian.
 
     Applies exp(-i V dt / 2 hbar), a full kinetic phase in momentum
     space, and exp(-i V dt / 2 hbar) per step; samples position means
     and variances every ``sample_every`` steps (momentum moments too
-    when ``track_momentum``). Norm drift beyond ``norm_tol`` and edge
-    density beyond ``boundary_tol`` abort the run.
+    when ``track_momentum``). Norm drift beyond NORM_DRIFT_TOL and edge
+    density beyond BOUNDARY_DENSITY_TOL abort the run.
 
     Returns
     -------
@@ -183,23 +201,24 @@ def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
     psi = state.psi.copy()
 
     def record(idx):
-        mx, my, vx, vy = _position_moments(grid, psi)
+        density = psi.real ** 2 + psi.imag ** 2
+        rho = density * grid.cell_area
+        mx, my, vx, vy = _position_moments(grid, rho)
         mean_q[idx] = (mx, my)
         var_q[idx] = (vx, vy)
         if track_momentum:
             px, py, vpx, vpy = _momentum_moments(grid, psi)
             mean_p[idx] = (px, py)
             var_p[idx] = (vpx, vpy)
-        nrm = float(np.sum(psi.real ** 2 + psi.imag ** 2) * grid.cell_area)
-        if abs(nrm - 1.0) > norm_tol:
+        nrm = float(np.sum(density) * grid.cell_area)
+        if abs(nrm - 1.0) > NORM_DRIFT_TOL:
             raise NormDriftError(
                 f"norm drifted to {nrm!r} at t={t[idx]:g}")
-        rho_edge = (psi.real ** 2 + psi.imag ** 2) * grid.cell_area
-        edge = max(rho_edge[0, :].max(), rho_edge[-1, :].max(),
-                   rho_edge[:, 0].max(), rho_edge[:, -1].max())
-        if edge > boundary_tol:
+        edge = max(rho[0, :].max(), rho[-1, :].max(),
+                   rho[:, 0].max(), rho[:, -1].max())
+        if edge > BOUNDARY_DENSITY_TOL:
             raise BoundaryLeakError(
-                f"edge density {edge:g} exceeds {boundary_tol:g} at "
+                f"edge density {edge:g} exceeds {BOUNDARY_DENSITY_TOL:g} at "
                 f"t={t[idx]:g}; enlarge the box")
 
     record(0)

@@ -197,6 +197,28 @@ class TestOracle:
         with pytest.raises(DomainError):
             decoherence_exponent_oracle(bath, make_dd(t, np.ones(2001)), 0.0)
 
+    @pytest.mark.parametrize("temperature", [np.inf, np.nan, -1.0])
+    def test_non_finite_temperature_rejected(self, temperature):
+        bath = discretize_bath(SpectralDensity(1.0, 10.0), 50)
+        t = np.linspace(0.0, 5.0, 2001)
+        with pytest.raises(DomainError, match="temperature"):
+            decoherence_exponent_oracle(bath, make_dd(t, np.ones(2001)),
+                                        temperature)
+
+    def test_aliasing_bound_is_pi_over_ten_omega_max(self):
+        # the bound is set by the cutoff, not by the top midpoint mode
+        sd = SpectralDensity(1.0, 10.0)
+        assert sd.max_drive_step == np.pi / 100.0
+        bath = discretize_bath(sd, 2000)
+        for dt, ok in ((np.pi / 100.0, True), (0.03142, False)):
+            t = dt * np.arange(101)
+            dd = make_dd(t, np.ones(101))
+            if ok:
+                decoherence_exponent_oracle(bath, dd, 10.0)
+            else:
+                with pytest.raises(DomainError, match="pi/"):
+                    decoherence_exponent_oracle(bath, dd, 10.0)
+
 
 class TestDisplacementIdentity:
     def test_brute_force_matches_closed_form(self):

@@ -7,12 +7,14 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from decochaos.cli import main as cli_main
 from decochaos.decoherence import RegimeRun, compare_regimes
 from decochaos.errors import ConfigError
-from decochaos.harness import (ExperimentConfig, compare_command, load_config,
-                               run_experiment, write_csv)
+from decochaos.harness import (ExperimentConfig, _parse_config,
+                               compare_command, load_config, run_experiment,
+                               write_csv)
 from decochaos.series import DecoherenceSeries, DivergenceSeries
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -432,6 +434,26 @@ class TestCli:
         assert cli_main(["validate-config", "--config", path]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"model": {"family": "separable_quartic",
+                    "params": {"a": float("nan")}}}, "model"),
+        ({"model": {"family": "separable_quartic", "params": {"a": "2"}}},
+         "model"),
+        ({"initial": {"z": ["1", 0.0, 0.0, 0.5]}}, "initial"),
+        ({"superposition": {"c1": float("inf"), "c2": 0.5}},
+         "superposition"),
+        ({"superposition": {"c1": "0.7", "c2": 0.7}}, "superposition"),
+        ({"grid": {"nx": 64, "ny": 64, "lx": 12.0, "ly": 12.0,
+                   "widths": [0.7, 0.7], "save_snapshots": "no"}},
+         "grid.save_snapshots"),
+    ], ids=["param-nan", "param-string", "z-string", "weight-inf",
+            "weight-string", "save_snapshots-string"])
+    def test_non_numbers_are_not_coerced(self, tmp_path, capsys, change,
+                                         key):
+        path = write_yaml(tmp_path, {**MINIMAL, **change})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert f"  - {key}" in capsys.readouterr().err
+
     def test_engine_override_revalidates(self, tmp_path):
         # quantum engine needs a grid section; the override must not
         # sneak past that constraint
@@ -480,3 +502,86 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert '"dominates": false' in printed
+
+
+# Every section present and valid; the property test below breaks one to
+# three places of it at a time.
+FULL = {
+    "schema_version": 1, "seed": 3, "engine": "both", "slug": "full",
+    "output_dir": "runs",
+    "model": {"family": "separable_quartic",
+              "params": {"a": 1.0, "b": 1.0}, "mass": 1.0},
+    "initial": {"z": [0.4, 0.3, 0.47, 0.3],
+                "delta_z": [5e-7, 5e-7, 5e-7, 5e-7],
+                "alternates": [[0.3, 0.4, 0.47, 0.3]]},
+    "integrator": {"dt": 0.005, "n_steps": 4000, "escape_radius": 1000.0,
+                   "energy_drift_bound": 1e-8},
+    "lyapunov": {"total_time": 200.0, "renorm_interval": 2.0, "dt": 0.01},
+    "grid": {"nx": 128, "ny": 128, "lx": 12.0, "ly": 12.0, "hbar_eff": 1.0,
+             "widths": [0.7071, 0.7071], "sample_every": 5,
+             "save_snapshots": False},
+    "bath": {"coupling": 1.0, "omega_max": 10.0, "temperature": 1000.0,
+             "n_modes": 2000},
+    "fit": {"window": [5.0, 20.0], "expected_scaling": "power_law"},
+    "ehrenfest": {"t_max": 15.0, "threshold": 0.01},
+    "superposition": {"c1": 0.6, "c2": 0.8},
+}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+FULL_PATHS = [p for p in _paths(FULL) if p]
+
+# boundary values get a branch of their own so they come up often
+_special = st.sampled_from([
+    None, True, False, 0, 1, -1, 64, 2 ** 20, 10 ** 30, 10 ** 400,
+    float("inf"), float("-inf"), float("nan"), 0.0, -1.0, 1e-300, 1e300,
+    "", "1", "0.5", "harmonic2d", "both", "a/b", ".."])
+_scalars = st.one_of(_special, st.integers(), st.floats(),
+                     st.text(max_size=6))
+_values = st.one_of(
+    _special, _scalars, st.lists(_scalars, max_size=5),
+    st.dictionaries(st.text(max_size=4), _scalars, max_size=3))
+
+
+def _replaced(changes):
+    """FULL with each (path, value) set in turn, skipping a path that an
+    earlier change cut off."""
+    data = copy.deepcopy(FULL)
+    for path, value in changes:
+        node = data
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if isinstance(node, (dict, list)):
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return data
+
+
+def test_full_config_is_valid():
+    assert _parse_config(copy.deepcopy(FULL)).grid.nx == 128
+
+
+@settings(max_examples=300)
+@given(changes=st.lists(st.tuples(st.sampled_from(FULL_PATHS), _values),
+                        min_size=1, max_size=3))
+def test_any_config_parses_or_raises_config_error(tmp_path_factory,
+                                                  changes):
+    # parsing allocates nothing sized by grid.nx/ny or bath.n_modes, so
+    # huge counts are safe to draw here
+    data = _replaced(changes)
+    try:
+        _parse_config(data)
+    except ConfigError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert cli_main(["validate-config", "--config", str(path)]) in (0, 1)

@@ -145,3 +145,13 @@ class TestRegistry:
             HenonHeiles(0.0)
         with pytest.raises(DomainError):
             make_model("harmonic2d", mass=-2.0)
+
+    @pytest.mark.parametrize("value", ["2", np.nan, np.inf, True, None,
+                                       [1.0], 10 ** 400],
+                             ids=["string", "nan", "inf", "bool", "none",
+                                  "list", "beyond-float-range"])
+    def test_parameters_must_be_finite_real_numbers(self, value):
+        with pytest.raises(DomainError, match="finite real number"):
+            make_model("separable_quartic", {"a": value})
+        with pytest.raises(DomainError, match="finite real number"):
+            PhasePoint(value, 0.0, 0.0, 0.0)

@@ -35,6 +35,19 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid2D(64, 64, 10.0, 10.0, hbar_eff=0.0)
 
+    @pytest.mark.parametrize("args", [
+        (64.0, 64, 10.0, 10.0), (64, True, 10.0, 10.0),
+        (64, 64, "10", 10.0), (64, 64, 10.0, np.inf),
+        (64, 64, 10.0, 10.0, None)])
+    def test_rejects_wrong_types(self, args):
+        with pytest.raises(GridError):
+            Grid2D(*args)
+
+    def test_construction_allocates_no_mesh(self):
+        grid = Grid2D(2 ** 20, 2 ** 20, 10.0, 10.0)
+        assert grid.gaussian_widths([0.5, 0.5]) == (0.5, 0.5)
+        assert not {"X", "Y", "KX", "KY", "k2"} & set(vars(grid))
+
     def test_cell_geometry(self, grid64):
         assert grid64.dx == pytest.approx(12.0 / 64)
         assert grid64.cell_area == pytest.approx((12.0 / 64) ** 2)
