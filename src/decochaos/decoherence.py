@@ -33,8 +33,7 @@ _SERIES_ARG = 1e-4
 
 
 def asymptotic_exponent(dd: DriveDifference, coupling: float,
-                        temperature: float,
-                        engine: str | None = None) -> DecoherenceSeries:
+                        temperature: float) -> DecoherenceSeries:
     """High-temperature decoherence exponent from a drive difference.
 
     gamma(t) = (C T / 2) * trapezoid integral of df_x^2 + df_y^2.
@@ -47,8 +46,7 @@ def asymptotic_exponent(dd: DriveDifference, coupling: float,
     dt = dd.dt
     integrand = dd.squared_magnitude()
     gamma = 0.5 * coupling * temperature * cumulative_trapezoid(integrand, dt)
-    return DecoherenceSeries(dd.t.copy(), gamma, source="asymptotic",
-                             engine=engine)
+    return DecoherenceSeries(dd.t.copy(), gamma, source="asymptotic")
 
 
 def _cosine_kernel(x, v):
@@ -152,8 +150,6 @@ class RegimeComparison:
     dominates: bool
     t_star: float | None
     within_ehrenfest: bool
-    regular_label: str = "regular"
-    chaotic_label: str = "chaotic"
 
 
 def _fit_run(run: RegimeRun) -> ScalingFit | None:
@@ -228,6 +224,4 @@ def compare_regimes(regular: RegimeRun, chaotic: RegimeRun,
         dominates=dominates,
         t_star=t_star,
         within_ehrenfest=within,
-        regular_label=regular.label,
-        chaotic_label=chaotic.label,
     )

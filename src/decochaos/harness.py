@@ -81,6 +81,15 @@ def _integer(mapping, name, least, default=None):
     return value
 
 
+def _count(mapping, name, least):
+    """_integer that an array length can hold (at most sys.maxsize)."""
+    value = _integer(mapping, name, least)
+    if value > sys.maxsize:
+        raise ConfigError([f"{name}: {value} exceeds the largest array "
+                           f"length {sys.maxsize}"])
+    return value
+
+
 def _mapping(parent, name, required=False):
     """parent[last part of name] as a mapping; None if absent and optional."""
     value = parent.get(_key(name))
@@ -259,7 +268,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
         it = _mapping(data, "integrator", required=True)
         integ = IntegratorSpec(
             _positive(it, "integrator.dt"),
-            _integer(it, "integrator.n_steps", 1),
+            _count(it, "integrator.n_steps", 1),
             _positive(it, "integrator.escape_radius", 1e3),
             _positive(it, "integrator.energy_drift_bound",
                       DEFAULT_DRIFT_BOUND))
@@ -306,7 +315,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
                                  _positive(b, "bath.omega_max"))
             temperature = _positive(b, "bath.temperature")
             n_modes = (None if b.get("n_modes") is None
-                       else _integer(b, "bath.n_modes", 2))
+                       else _count(b, "bath.n_modes", 2))
             if integ is not None:
                 sd.check_drive_step(integ.dt, "integrator.dt")
             if (n_modes is not None and grid is not None and integ is not None
@@ -500,7 +509,6 @@ def _classical_stage(config, rundir, results, checks, files):
     integ = config.integrator
     candidates = [config.initial.z, *config.initial.alternates]
     attempts = []
-    chosen = None
     for z_raw in candidates:
         z0, traj, traj2, diam, delta, div = _propagate_pair(
             model, z_raw, config)
@@ -515,19 +523,16 @@ def _classical_stage(config, rundir, results, checks, files):
                 fit = classify_scaling(div, window)
             except SimulationError:
                 fit = None
-        attempt = {"z": list(z_raw), "fit": _fit_to_dict(fit),
-                   "flagged": False}
         expected = config.fit.expected_scaling
-        if expected is not None and (fit is None or fit.kind != expected
-                                     or fit.ambiguous):
-            # likely too close to a periodic orbit; try the next candidate
-            attempt["flagged"] = True
-            attempts.append(attempt)
-            chosen = (z0, traj, traj2, diam, delta, div, sat, fit)
-            continue
-        attempts.append(attempt)
+        # a flagged start is likely too close to a periodic orbit, so the
+        # next candidate is tried
+        flagged = expected is not None and (
+            fit is None or fit.kind != expected or fit.ambiguous)
+        attempts.append({"z": list(z_raw), "fit": _fit_to_dict(fit),
+                         "flagged": flagged})
         chosen = (z0, traj, traj2, diam, delta, div, sat, fit)
-        break
+        if not flagged:
+            break
     z0, traj, traj2, diam, delta, div, sat, fit = chosen
     results["attempts"] = attempts
     results["initial_z"] = [z0.qx, z0.qy, z0.px, z0.py]
@@ -582,14 +587,12 @@ def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
     if config.bath is None:
         return None
     bath_cfg = config.bath
-    gamma = asymptotic_exponent(dd, bath_cfg.coupling, bath_cfg.temperature,
-                                engine=engine_label)
+    gamma = asymptotic_exponent(dd, bath_cfg.coupling, bath_cfg.temperature)
     oracle = None
     if bath_cfg.n_modes is not None:
         sd = SpectralDensity(bath_cfg.coupling, bath_cfg.omega_max)
         bath = discretize_bath(sd, bath_cfg.n_modes)
-        oracle = decoherence_exponent_oracle(bath, dd, bath_cfg.temperature,
-                                             engine=engine_label)
+        oracle = decoherence_exponent_oracle(bath, dd, bath_cfg.temperature)
 
     path = os.path.join(rundir, f"decoherence_{engine_label}.csv")
     if oracle is not None:
@@ -695,7 +698,7 @@ def _run(config, out_dir):
                                   model, z0, traj, diam, delta)
             _gamma_stage(config, rundir, results, checks, files, dd_q,
                          "quantum")
-    except SimulationError as exc:
+    except (SimulationError, MemoryError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
 
     record = _write_record(rundir, started, config.to_dict(), files, results,

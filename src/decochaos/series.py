@@ -170,14 +170,12 @@ class DecoherenceSeries:
     """Exponent gamma(t) = -ln |coherence factor| versus time.
 
     source is "asymptotic" (high-temperature integral formula) or
-    "oracle" (exact discrete-bath mode sum); engine labels where the
-    drives came from ("classical", "quantum" or "synthetic").
+    "oracle" (exact discrete-bath mode sum).
     """
 
     t: np.ndarray
     gamma: np.ndarray
     source: str
-    engine: str | None = None
 
     _SOURCES = ("asymptotic", "oracle")
 

@@ -19,6 +19,19 @@ def make_dd(t, df_x, df_y=None):
     return DriveDifference(t, df_x, df_y)
 
 
+def per_mode_exponent(bath, dd, temperature):
+    """sum_j S_j |s_j|^2 over both axes, one single-mode amplitude at a
+    time; with kappa = 1 and alpha0 = 0, |alpha_j| = |s_j|."""
+    strength = bath.weights * (thermal_occupation(bath.omegas, temperature)
+                               + 0.5)
+    gamma = np.zeros_like(dd.t)
+    for drive in (dd.df_x, dd.df_y):
+        for omega, s in zip(bath.omegas, strength):
+            alpha = evolve_bath_amplitude(omega, 1.0, dd.t, drive)
+            gamma += s * np.abs(alpha) ** 2
+    return gamma
+
+
 class TestSpectralWeight:
     def test_negative_frequency_killed(self):
         sd = SpectralDensity(1.0, 10.0)
@@ -96,6 +109,29 @@ class TestDrivenAmplitude:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("case", ["xy-midpoint", "x-only", "y-only",
+                                      "hand-built-modes"])
+    def test_matches_per_mode_reference(self, case):
+        sd = SpectralDensity(1.0, 10.0)
+        t = 0.5 + np.linspace(0.0, 5.0, 2001)
+        df_x = 0.01 * np.sin(t) + 0.003 * np.cos(7.0 * t)
+        df_y = 0.02 * np.cos(3.0 * t) * np.exp(-0.1 * t)
+        bath = discretize_bath(sd, 300)
+        if case == "x-only":
+            df_y = np.zeros_like(t)
+        elif case == "y-only":
+            df_x = np.zeros_like(t)
+        elif case == "hand-built-modes":
+            bath = BathDiscretization(np.array([0.37, 1.9, 2.05, 6.3, 9.99]),
+                                      np.array([0.2, 0.05, 1.3, 0.7, 0.01]),
+                                      sd)
+        dd = make_dd(t, df_x, df_y)
+        out = decoherence_exponent_oracle(bath, dd, 50.0)
+        ref = per_mode_exponent(bath, dd, 50.0)
+        assert out.gamma[0] == ref[0] == 0.0
+        rel = np.abs(out.gamma[1:] - ref[1:]) / ref[1:]
+        assert np.max(rel) <= 1e-12
+
     def test_zero_drive_difference(self):
         sd = SpectralDensity(1.0, 10.0)
         bath = discretize_bath(sd, 100)

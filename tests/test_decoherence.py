@@ -170,8 +170,8 @@ class TestHartreeError:
             hartree_error(self.constant_series(t_eval=5.0), 1.0, 5.0, 10.0)
 
 
-def synthetic_gamma(t, values, engine="synthetic"):
-    return DecoherenceSeries(t, values, source="oracle", engine=engine)
+def synthetic_gamma(t, values):
+    return DecoherenceSeries(t, values, source="oracle")
 
 
 class TestCompareRegimes:

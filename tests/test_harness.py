@@ -358,8 +358,7 @@ class TestCompareCommand:
             with open(os.path.join(rundir, "record.json")) as fh:
                 window = json.load(fh)["results"]["divergence_fit"]["window"]
             runs[label] = RegimeRun(
-                label, DecoherenceSeries(t, g, source="asymptotic",
-                                         engine="classical"),
+                label, DecoherenceSeries(t, g, source="asymptotic"),
                 divergence=DivergenceSeries(td, D), fit_window=tuple(window),
                 ehrenfest_t_max=cfg.ehrenfest.t_max)
         expected = compare_regimes(runs["regular"], runs["chaotic"],
@@ -453,6 +452,39 @@ class TestCli:
         path = write_yaml(tmp_path, {**MINIMAL, **change})
         assert cli_main(["validate-config", "--config", path]) == 1
         assert f"  - {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, key", [
+        ({"integrator": {"dt": 0.01, "n_steps": 10 ** 30}},
+         "integrator.n_steps"),
+        ({"bath": {"coupling": 1.0, "omega_max": 10.0, "temperature": 1000.0,
+                   "n_modes": 10 ** 30}}, "bath.n_modes"),
+    ], ids=["n_steps", "n_modes"])
+    def test_count_no_array_can_hold_exits_1(self, tmp_path, capsys, change,
+                                             key):
+        path = write_yaml(tmp_path, {**MINIMAL, **change})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert f"  - {key}" in capsys.readouterr().err
+
+    def test_seed_keeps_its_range(self, tmp_path):
+        path = write_yaml(tmp_path, {**MINIMAL, "seed": 10 ** 30})
+        assert cli_main(["validate-config", "--config", path]) == 0
+
+    def test_memory_error_leaves_a_record(self, tmp_path, monkeypatch):
+        def no_memory(*_args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr("decochaos.harness.discretize_bath", no_memory)
+        path = write_yaml(tmp_path, SMALL_RUN)
+        code = cli_main(["decohere", "--config", path, "--out",
+                         str(tmp_path / "runs")])
+        assert code == 2
+        (rundir,) = os.listdir(tmp_path / "runs")
+        with open(tmp_path / "runs" / rundir / "record.json") as fh:
+            record = json.load(fh)
+        assert record["error"] == {"type": "MemoryError",
+                                   "message": "Unable to allocate 8.00 TiB"}
+        # what the run wrote before the failure is kept and checksummed
+        assert "trajectory.csv" in record["manifest"]
 
     def test_engine_override_revalidates(self, tmp_path):
         # quantum engine needs a grid section; the override must not
