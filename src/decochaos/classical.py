@@ -19,11 +19,9 @@ from .series import DivergenceSeries, Trajectory, cumulative_trapezoid
 
 __all__ = [
     "DEFAULT_ESCAPE_RADIUS",
-    "TangentSeries",
     "LyapunovEstimate",
     "ScalingFit",
     "propagate",
-    "propagate_tangent",
     "max_lyapunov",
     "divergence_integral",
     "divergence_from_trajectories",
@@ -142,52 +140,6 @@ def _tangent_steps(model, dt, state, n):
         qx += a1 * px; qy += a1 * py
         dqx += a1 * dpx; dqy += a1 * dpy
     return qx, qy, px, py, dqx, dqy, dpx, dpy
-
-
-@dataclass
-class TangentSeries:
-    """Tangent vector samples along a reference orbit."""
-
-    t: np.ndarray
-    v: np.ndarray   # (n, 4)
-
-    def norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.v ** 2, axis=1))
-
-
-def propagate_tangent(model: HamiltonianModel, z0: PhasePoint, v0,
-                      dt: float, n_steps: int,
-                      escape_radius: float = DEFAULT_ESCAPE_RADIUS
-                      ) -> TangentSeries:
-    """Integrate the variational equations along the orbit through z0.
-
-    v0 is a phase-space displacement (PhasePoint or length-4 array); the
-    returned series holds the linearized image of v0 at every step.
-    """
-    if isinstance(v0, PhasePoint):
-        v0 = v0.as_array()
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (4,) or not np.all(np.isfinite(v0)):
-        raise DomainError("tangent v0 must be a finite 4-vector")
-    if np.all(v0 == 0.0):
-        raise DomainError("tangent v0 must be nonzero")
-    _validate_step_args(dt, n_steps)
-
-    r2 = escape_radius * escape_radius
-    t = dt * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, 4))
-    out[0] = v0
-    state = (z0.qx, z0.qy, z0.px, z0.py, *map(float, v0))
-    for i in range(1, n_steps + 1):
-        state = _tangent_steps(model, dt, state, 1)
-        qx, qy = state[0], state[1]
-        if not (qx * qx + qy * qy <= r2):
-            raise EscapeError(
-                f"reference orbit escaped at t={t[i]:g}",
-                time=float(t[i - 1]),
-                state=None, trajectory=None)
-        out[i] = state[4:]
-    return TangentSeries(t, out)
 
 
 @dataclass

@@ -9,8 +9,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .classical import classify_scaling, max_lyapunov, propagate
 from .errors import ConfigError, SimulationError
 from .harness import (OUTPUT_ROOT_ENV, compare_command, load_config,
@@ -108,11 +106,17 @@ def cmd_fit(args):
     if args.csv:
         import csv as _csv
 
-        with open(args.csv, encoding="ascii") as fh:
-            rows = list(_csv.DictReader(fh))
-        t = np.array([float(r["t"]) for r in rows])
-        D = np.array([float(r["D"]) for r in rows])
-        series = DivergenceSeries(t, D)
+        # DivergenceSeries raises DomainError, a ValueError, on a series
+        # that is not a divergence integral
+        try:
+            with open(args.csv, encoding="ascii") as fh:
+                rows = list(_csv.DictReader(fh))
+            series = DivergenceSeries([float(r["t"]) for r in rows],
+                                      [float(r["D"]) for r in rows])
+        except KeyError as exc:
+            raise ConfigError([f"{args.csv}: no {exc} column"]) from None
+        except (OSError, TypeError, ValueError, _csv.Error) as exc:
+            raise ConfigError([f"{args.csv}: {exc}"]) from None
         window = tuple(args.window) if args.window else None
     else:
         config = _load(args)

@@ -82,11 +82,13 @@ def _integer(mapping, name, least, default=None):
 
 
 def _count(mapping, name, least):
-    """_integer that an array length can hold (at most sys.maxsize)."""
+    """_integer whose largest array fits in sys.maxsize bytes. Both counts
+    size 32 bytes per unit: the (n_steps + 1) x 4 float orbit buffer and
+    the oracle's (2, n_modes) complex state."""
     value = _integer(mapping, name, least)
-    if value > sys.maxsize:
-        raise ConfigError([f"{name}: {value} exceeds the largest array "
-                           f"length {sys.maxsize}"])
+    if 32 * (value + 1) > sys.maxsize:
+        raise ConfigError([f"{name}: {value} sizes an array of more than "
+                           f"{sys.maxsize} bytes"])
     return value
 
 
@@ -285,6 +287,11 @@ def _parse_config(data: dict) -> ExperimentConfig:
                     and total >= 10 * renorm >= 100 * step > 0):
                 raise ConfigError(["lyapunov: need total_time >= "
                                    "10*renorm_interval >= 100*dt"])
+            # the convergence history holds two floats per block
+            if 16 * (total / renorm) > sys.maxsize:
+                raise ConfigError([f"lyapunov: total_time/renorm_interval "
+                                   f"blocks size an array of more than "
+                                   f"{sys.maxsize} bytes"])
             lyap = LyapunovSpec(float(total), float(renorm), own_dt)
 
     with section("grid"):
@@ -381,21 +388,14 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def write_csv(path, header, columns):
-    """17 significant digit CSV with LF line endings."""
-    rows = zip(*columns)
+    """17 significant digit CSV with LF line endings; a column of strings
+    is written as it is."""
+    row = ",".join("%s" if len(col) and isinstance(col[0], str) else "%.17g"
+                   for col in columns) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def _sha256(path):
@@ -595,13 +595,11 @@ def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
         oracle = decoherence_exponent_oracle(bath, dd, bath_cfg.temperature)
 
     path = os.path.join(rundir, f"decoherence_{engine_label}.csv")
+    columns = {"t": gamma.t, "gamma_asymptotic": gamma.gamma}
     if oracle is not None:
-        write_csv(path, ["t", "gamma_asymptotic", "gamma_oracle", "engine"],
-                  [gamma.t, gamma.gamma, oracle.gamma,
-                   [engine_label] * gamma.t.size])
-    else:
-        write_csv(path, ["t", "gamma_asymptotic", "engine"],
-                  [gamma.t, gamma.gamma, [engine_label] * gamma.t.size])
+        columns["gamma_oracle"] = oracle.gamma
+    columns["engine"] = [engine_label] * gamma.t.size
+    write_csv(path, list(columns), list(columns.values()))
     files.append(path)
 
     results.setdefault("gamma", {})[engine_label] = {

@@ -10,7 +10,6 @@ bookkeeping runs vectorized.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -29,12 +28,6 @@ __all__ = [
     "MODEL_FAMILIES",
     "make_model",
 ]
-
-
-def _require_finite(name, *values):
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise DomainError(f"{name} must be finite, got {v!r}")
 
 
 def _finite_real(value) -> bool:
@@ -75,14 +68,6 @@ class PhasePoint:
         return PhasePoint(self.qx + other.qx, self.qy + other.qy,
                           self.px + other.px, self.py + other.py)
 
-    def __sub__(self, other: "PhasePoint") -> "PhasePoint":
-        return PhasePoint(self.qx - other.qx, self.qy - other.qy,
-                          self.px - other.px, self.py - other.py)
-
-    def norm(self) -> float:
-        return math.sqrt(self.qx ** 2 + self.qy ** 2
-                         + self.px ** 2 + self.py ** 2)
-
 
 class HamiltonianModel:
     """Base class: a 2D potential V(qx, qy) plus standard kinetic energy.
@@ -120,25 +105,6 @@ class HamiltonianModel:
     def force(self, qx, qy):
         gx, gy = self.grad_xy(qx, qy)
         return -gx, -gy
-
-    # validated public surface ----------------------------------------------
-
-    def potential(self, q) -> float:
-        qx, qy = q
-        _require_finite("position", qx, qy)
-        return self.potential_xy(qx, qy)
-
-    def grad_potential(self, q) -> np.ndarray:
-        qx, qy = q
-        _require_finite("position", qx, qy)
-        gx, gy = self.grad_xy(qx, qy)
-        return np.array([gx, gy])
-
-    def hessian_potential(self, q) -> np.ndarray:
-        qx, qy = q
-        _require_finite("position", qx, qy)
-        hxx, hxy, hyy = self.hessian_xy(qx, qy)
-        return np.array([[hxx, hxy], [hxy, hyy]])
 
     def total_energy(self, z: PhasePoint) -> float:
         kinetic = (z.px ** 2 + z.py ** 2) / (2.0 * self.mass)

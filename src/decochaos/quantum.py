@@ -17,6 +17,7 @@ window in which mean positions follow classical trajectories.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ class Grid2D:
     Parameters
     ----------
     nx, ny : int
-        Point counts, powers of two, at least 64 each.
+        Point counts, powers of two, at least 64 each; the complex
+        amplitudes, 16 * nx * ny bytes, must fit in sys.maxsize bytes.
     lx, ly : float
         Box lengths; the box is centered on the origin.
     hbar_eff : float
@@ -66,6 +68,9 @@ class Grid2D:
                  hbar_eff: float = 1.0):
         if not (_is_pow2(nx) and _is_pow2(ny) and nx >= 64 and ny >= 64):
             raise GridError("nx and ny must be integer powers of two >= 64")
+        if 16 * nx * ny > sys.maxsize:
+            raise GridError(f"a {nx} x {ny} grid of complex amplitudes needs "
+                            f"more than {sys.maxsize} bytes")
         if not all(_finite_real(v) and v > 0 for v in (lx, ly)):
             raise GridError("box lengths must be positive finite numbers")
         if not (_finite_real(hbar_eff) and hbar_eff > 0):

@@ -121,6 +121,8 @@ class DivergenceSeries:
         self.D = np.asarray(self.D, dtype=float)
         if self.D.shape != self.t.shape:
             raise DomainError("divergence D must match the time grid")
+        if not np.all(np.isfinite(self.D)):
+            raise DomainError("divergence D must be finite")
         uniform_dt(self.t)
         if self.D[0] != 0.0:
             raise DomainError("divergence integral must start at zero")

@@ -385,6 +385,18 @@ class TestWriteCsv:
         assert text[0] == "t,v,tag"
         assert text[2].startswith("0.33333333333333331,")
 
+    def test_special_values_and_string_column_bytes(self, tmp_path):
+        path = tmp_path / "x.csv"
+        write_csv(str(path), ["a", "b", "engine"],
+                  [np.array([np.nan, -0.0, 0.1]),
+                   np.array([np.inf, 5e-324, -np.inf]),
+                   ["quantum", "classical", "quantum"]])
+        assert path.read_bytes() == (
+            b"a,b,engine\n"
+            b"nan,inf,quantum\n"
+            b"-0,4.9406564584124654e-324,classical\n"
+            b"0.10000000000000001,-inf,quantum\n")
+
 
 class TestCli:
     def test_validate_ok_and_fail(self, tmp_path, capsys):
@@ -465,6 +477,37 @@ class TestCli:
         assert cli_main(["validate-config", "--config", path]) == 1
         assert f"  - {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"integrator": {"dt": 0.01, "n_steps": 2 ** 62}},
+         "integrator.n_steps"),
+        ({"bath": {"coupling": 1.0, "omega_max": 10.0, "temperature": 1000.0,
+                   "n_modes": 2 ** 62}}, "bath.n_modes"),
+        ({"engine": "both", "grid": {"nx": 2 ** 62, "ny": 64, "lx": 12.0,
+                                     "ly": 12.0, "widths": [0.7, 0.7]}},
+         "grid"),
+        ({"lyapunov": {"total_time": 1.0e30, "renorm_interval": 2.0}},
+         "lyapunov"),
+    ], ids=["n_steps", "n_modes", "grid.nx", "lyapunov.total_time"])
+    def test_count_whose_array_outgrows_the_address_space_exits_1(
+            self, tmp_path, capsys, change, key):
+        # each count is within sys.maxsize, but its largest array's bytes
+        # are not; rejected before anything is allocated
+        path = write_yaml(tmp_path, {**MINIMAL, **change})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert f"  - {key}" in capsys.readouterr().err
+
+    def test_decohere_rejects_lyapunov_blocks_no_array_can_hold(
+            self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "chaotic_henon_full.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["lyapunov"]["total_time"] = 1.0e30
+        path = write_yaml(tmp_path, data)
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(runs)]) == 1
+        assert "  - lyapunov" in capsys.readouterr().err
+        assert not runs.exists()
+
     def test_seed_keeps_its_range(self, tmp_path):
         path = write_yaml(tmp_path, {**MINIMAL, "seed": 10 ** 30})
         assert cli_main(["validate-config", "--config", path]) == 0
@@ -502,6 +545,21 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "power_law" in out
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("t,E\n0,0\n1,1\n", "no 'D' column"),
+        ("t,D\n0,0\n1,one\n", "could not convert"),
+        ("t,D\n0,1\n1,2\n", "must start at zero"),
+        ("t,D\n0,0\n1,nan\n2,3\n", "must be finite"),
+    ], ids=["missing-file", "no-D-column", "non-numeric", "not-divergence",
+            "non-finite"])
+    def test_fit_from_bad_csv_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "div.csv"
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["fit", "--csv", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_runtime_failure_exit_code(self, tmp_path):
         data = copy.deepcopy(MINIMAL)
