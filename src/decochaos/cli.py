@@ -1,7 +1,8 @@
 """Command line entry points.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime
-failure (partial outputs are kept in the run directory).
+Exit codes: 0 success, 1 configuration/validation error or a file that
+cannot be read or written, 2 runtime failure (partial outputs are kept
+in the run directory).
 """
 from __future__ import annotations
 
@@ -101,8 +102,13 @@ def cmd_compare(args):
 
 
 def cmd_fit(args):
+    # decohere's fit: the same candidate starts and saturation-aware
+    # default window, and fit.window's rule for --window
+    from .harness import _classical_pair, _window
+
     if not args.csv and not args.config:
         raise ConfigError(["fit: need --config or --csv"])
+    window = args.window and _window(args.window, "--window")
     if args.csv:
         import csv as _csv
 
@@ -117,16 +123,12 @@ def cmd_fit(args):
             raise ConfigError([f"{args.csv}: no {exc} column"]) from None
         except (OSError, TypeError, ValueError, _csv.Error) as exc:
             raise ConfigError([f"{args.csv}: {exc}"]) from None
-        window = tuple(args.window) if args.window else None
+        fit = classify_scaling(series, window)
     else:
-        config = _load(args)
-        from .harness import _propagate_pair
-
-        model = config.model.build()
-        _, _, _, _, _, series = _propagate_pair(model, config.initial.z,
-                                                config)
-        window = args.window or config.fit.window
-    fit = classify_scaling(series, window)
+        *_, fit, _ = _classical_pair(_load(args), window)
+        if fit is None:
+            raise SimulationError("no growth-law fit of the divergence "
+                                  "series in the fit window")
     print(f"kind: {fit.kind}")
     print(f"exponent_or_rate: {fit.exponent_or_rate:.6g}")
     print(f"r_squared: {fit.r_squared:.6f}")
@@ -201,6 +203,11 @@ def main(argv=None):
     except SimulationError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # a file the command cannot read or write, such as an --out
+        # path; the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ScalingFit, classify_scaling
-from .errors import DomainError, FitError, GridMismatchError
-from .series import (DecoherenceSeries, DivergenceSeries, DriveDifference,
-                     ExpectationSeries, cumulative_trapezoid, uniform_dt)
+from .errors import DomainError, GridMismatchError
+from .series import (DecoherenceSeries, DriveDifference, ExpectationSeries,
+                     cumulative_trapezoid, uniform_dt)
 
 __all__ = [
     "asymptotic_exponent",
@@ -133,9 +132,6 @@ class RegimeRun:
 
     label: str
     gamma: DecoherenceSeries
-    divergence: DivergenceSeries | None = None
-    lyapunov_max: float | None = None
-    fit_window: tuple | None = None
     ehrenfest_t_max: float | None = None
 
 
@@ -145,29 +141,14 @@ class RegimeComparison:
 
     t: np.ndarray
     ratio: np.ndarray                  # chaotic / regular, nan where 0/0
-    regular_fit: ScalingFit | None
-    chaotic_fit: ScalingFit | None
     dominates: bool
     t_star: float | None
     within_ehrenfest: bool
 
 
-def _fit_run(run: RegimeRun) -> ScalingFit | None:
-    source = run.divergence
-    if source is None:
-        g = run.gamma
-        if np.all(g.gamma == 0.0):
-            return None
-        source = DivergenceSeries(g.t, g.gamma)
-    try:
-        return classify_scaling(source, run.fit_window)
-    except FitError:
-        return None
-
-
 def compare_regimes(regular: RegimeRun, chaotic: RegimeRun,
                     t_grid) -> RegimeComparison:
-    """Per-time exponent ratio, growth-law fits and the dominance verdict.
+    """Per-time exponent ratio and the dominance verdict.
 
     The crossover t_star is the last time the chaotic exponent falls at
     or below the regular one, interpolated between grid samples; the
@@ -217,11 +198,5 @@ def compare_regimes(regular: RegimeRun, chaotic: RegimeRun,
                    or t_star <= regular.ehrenfest_t_max)
               and (chaotic.ehrenfest_t_max is None
                    or t_star <= chaotic.ehrenfest_t_max))
-    return RegimeComparison(
-        t=t, ratio=ratio,
-        regular_fit=_fit_run(regular),
-        chaotic_fit=_fit_run(chaotic),
-        dominates=dominates,
-        t_star=t_star,
-        within_ehrenfest=within,
-    )
+    return RegimeComparison(t=t, ratio=ratio, dominates=dominates,
+                            t_star=t_star, within_ehrenfest=within)

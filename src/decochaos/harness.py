@@ -30,7 +30,7 @@ from .classical import (classify_scaling, detect_saturation,
                         position_diameter, propagate)
 from .decoherence import (RegimeRun, asymptotic_exponent, compare_regimes,
                           hartree_error)
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, FitError, SimulationError
 from .models import PhasePoint, make_model
 from .quantum import (Grid2D, ehrenfest_break_time, init_gaussian,
                       propagate_wavepacket, save_wavepacket)
@@ -99,6 +99,15 @@ def _mapping(parent, name, required=False):
         return value
     raise ConfigError([f"{name}: section is mandatory" if value is None
                        else f"{name}: must be a mapping"])
+
+
+def _window(value, name):
+    """A fit window [t_lo, t_hi] of finite numbers with t_lo < t_hi, as a
+    tuple of floats; the rule for fit.window and for fit --window."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(map(_real, value)) and value[0] < value[1]):
+        raise ConfigError([f"{name}: need [t_lo, t_hi] with t_lo < t_hi"])
+    return (float(value[0]), float(value[1]))
 
 
 def _point(value):
@@ -185,7 +194,6 @@ class ExperimentConfig:
     bath: BathSpec | None = None
     fit: FitSpec = field(default_factory=FitSpec)
     ehrenfest: EhrenfestSpec = field(default_factory=EhrenfestSpec)
-    superposition: tuple = (0.7071067811865476, 0.7071067811865476)
     output_dir: str | None = None
     slug: str | None = None
     schema_version: int = SCHEMA_VERSION
@@ -193,8 +201,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         raw = asdict(self)
         raw["model"]["params"] = {k: v for k, v in self.model.params}
-        raw["superposition"] = {"c1": self.superposition[0],
-                                "c2": self.superposition[1]}
         return raw
 
     @classmethod
@@ -204,7 +210,7 @@ class ExperimentConfig:
 
 _KNOWN_KEYS = {"schema_version", "seed", "engine", "model", "initial",
                "integrator", "lyapunov", "grid", "bath", "fit", "ehrenfest",
-               "superposition", "output_dir", "slug"}
+               "output_dir", "slug"}
 
 
 def _parse_config(data: dict) -> ExperimentConfig:
@@ -246,7 +252,6 @@ def _parse_config(data: dict) -> ExperimentConfig:
 
     seed = model = initial = integ = lyap = grid = bath = None
     fit, ehren = FitSpec(), EhrenfestSpec()
-    weights = (0.7071067811865476, 0.7071067811865476)
     with section("seed"):
         seed = _integer(data, "seed", 0)
 
@@ -336,17 +341,12 @@ def _parse_config(data: dict) -> ExperimentConfig:
         f = _mapping(data, "fit")
         if f is not None:
             window = f.get("window")
+            window = None if window is None else _window(window, "fit.window")
             expected = f.get("expected_scaling")
-            if window is not None and not (
-                    isinstance(window, (list, tuple)) and len(window) == 2
-                    and all(map(_real, window)) and window[0] < window[1]):
-                raise ConfigError(["fit.window: need [t_lo, t_hi] with "
-                                   "t_lo < t_hi"])
             if expected not in (None, "power_law", "exponential"):
                 raise ConfigError(["fit.expected_scaling: must be power_law "
                                    "or exponential"])
-            fit = FitSpec(None if window is None
-                          else (float(window[0]), float(window[1])), expected)
+            fit = FitSpec(window, expected)
 
     with section("ehrenfest"):
         e = _mapping(data, "ehrenfest")
@@ -355,21 +355,12 @@ def _parse_config(data: dict) -> ExperimentConfig:
                 None if e.get(k) is None else _positive(e, f"ehrenfest.{k}")
                 for k in ("t_max", "threshold")))
 
-    with section("superposition"):
-        sup = _mapping(data, "superposition")
-        if sup is not None:
-            if not (_real(sup.get("c1")) and _real(sup.get("c2"))):
-                raise ConfigError(["superposition: c1 and c2 must be finite "
-                                   "numbers"])
-            weights = (float(sup["c1"]), float(sup["c2"]))
-
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
         seed=seed, model=model, initial=initial, integrator=integ,
         engine=engine, lyapunov=lyap, grid=grid, bath=bath, fit=fit,
-        ehrenfest=ehren, superposition=weights,
-        output_dir=output_dir, slug=slug,
+        ehrenfest=ehren, output_dir=output_dir, slug=slug,
         schema_version=SCHEMA_VERSION)
 
 
@@ -389,10 +380,8 @@ def load_config(path) -> ExperimentConfig:
 # output helpers
 
 def write_csv(path, header, columns):
-    """17 significant digit CSV with LF line endings; a column of strings
-    is written as it is."""
-    row = ",".join("%s" if len(col) and isinstance(col[0], str) else "%.17g"
-                   for col in columns) + "\n"
+    """17 significant digit CSV of numeric columns with LF line endings."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*columns))
@@ -487,53 +476,56 @@ def _fit_to_dict(fit):
     return out
 
 
-def _propagate_pair(model, z_raw, config):
-    """Reference and displaced orbits plus their divergence series."""
-    integ = config.integrator
-    z0 = PhasePoint(*z_raw)
-    traj = propagate(model, z0, integ.dt, integ.n_steps, integ.escape_radius)
-    diam = position_diameter(traj)
-    delta = config.initial.delta_z
-    if delta is None:
-        scale = DEFAULT_DELTA_SCALE * diam / 2.0
-        delta = (scale, scale, scale, scale)
-    traj2 = (propagate(model, z0 + PhasePoint(*delta), integ.dt,
-                       integ.n_steps, integ.escape_radius)
-             if any(delta) else traj)
-    div = divergence_from_trajectories(traj, traj2)
-    return z0, traj, traj2, diam, delta, div
+def _classical_pair(config, window=None):
+    """The orbit pair of the first start, among initial.z and its
+    alternates, whose growth-law fit expected_scaling does not flag (the
+    last start if every one is flagged), and that fit.
 
-
-def _classical_stage(config, rundir, results, checks, files):
+    A flagged start is likely too close to a periodic orbit. The fit
+    window is ``window``, else fit.window, else [t_end/4, t_end] with
+    t_end the saturation time or the run's end; a FitError means no fit
+    (None). Returns (model, z0, traj, traj2, diam, delta, div,
+    saturation, fit, attempts).
+    """
     model = config.model.build()
     integ = config.integrator
-    candidates = [config.initial.z, *config.initial.alternates]
+    expected = config.fit.expected_scaling
     attempts = []
-    for z_raw in candidates:
-        z0, traj, traj2, diam, delta, div = _propagate_pair(
-            model, z_raw, config)
+    for z_raw in (config.initial.z, *config.initial.alternates):
+        z0 = PhasePoint(*z_raw)
+        traj = propagate(model, z0, integ.dt, integ.n_steps,
+                         integ.escape_radius)
+        diam = position_diameter(traj)
+        delta = config.initial.delta_z
+        if delta is None:
+            scale = DEFAULT_DELTA_SCALE * diam / 2.0
+            delta = (scale, scale, scale, scale)
+        traj2 = (propagate(model, z0 + PhasePoint(*delta), integ.dt,
+                           integ.n_steps, integ.escape_radius)
+                 if any(delta) else traj)
+        div = divergence_from_trajectories(traj, traj2)
         sat = detect_saturation(div, diam)
-        window = config.fit.window
-        if window is None:
-            t_end = sat if sat is not None else float(div.t[-1])
-            window = (0.25 * t_end, t_end)
+        t_end = sat if sat is not None else float(div.t[-1])
         fit = None
         if np.any(div.D > 0):
             try:
-                fit = classify_scaling(div, window)
-            except SimulationError:
-                fit = None
-        expected = config.fit.expected_scaling
-        # a flagged start is likely too close to a periodic orbit, so the
-        # next candidate is tried
+                fit = classify_scaling(div, window or config.fit.window
+                                       or (0.25 * t_end, t_end))
+            except FitError:
+                pass
         flagged = expected is not None and (
             fit is None or fit.kind != expected or fit.ambiguous)
         attempts.append({"z": list(z_raw), "fit": _fit_to_dict(fit),
                          "flagged": flagged})
-        chosen = (z0, traj, traj2, diam, delta, div, sat, fit)
         if not flagged:
             break
-    z0, traj, traj2, diam, delta, div, sat, fit = chosen
+    return model, z0, traj, traj2, diam, delta, div, sat, fit, attempts
+
+
+def _classical_stage(config, rundir, results, checks, files):
+    (model, z0, traj, traj2, diam, delta, div, sat, fit,
+     attempts) = _classical_pair(config)
+    integ = config.integrator
     results["attempts"] = attempts
     results["initial_z"] = [z0.qx, z0.qy, z0.px, z0.py]
     results["initial_energy"] = model.total_energy(z0)
@@ -580,7 +572,7 @@ def _classical_stage(config, rundir, results, checks, files):
         files.append(path)
 
     dd = DriveDifference.from_trajectories(traj, traj2)
-    return model, z0, traj, diam, dd, div
+    return model, z0, traj, diam, dd
 
 
 def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
@@ -598,7 +590,6 @@ def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
     columns = {"t": gamma.t, "gamma_asymptotic": gamma.gamma}
     if oracle is not None:
         columns["gamma_oracle"] = oracle.gamma
-    columns["engine"] = [engine_label] * gamma.t.size
     write_csv(path, list(columns), list(columns.values()))
     files.append(path)
 
@@ -668,8 +659,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
 
 
 def _run(config, out_dir):
-    """run_experiment, plus the divergence series and the classical
-    asymptotic exponent it holds in memory (None if not computed)."""
+    """run_experiment, plus the classical asymptotic exponent it holds in
+    memory (None if not computed)."""
     started = time.perf_counter()
     rundir = _run_dir(out_dir or config.output_dir,
                       config.slug or f"{config.model.family}-{config.engine}")
@@ -677,7 +668,7 @@ def _run(config, out_dir):
     results = {}
     checks = {}
     error = None
-    div = gamma = None
+    gamma = None
 
     snapshot_path = os.path.join(rundir, "config.snapshot")
     with open(snapshot_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -685,7 +676,7 @@ def _run(config, out_dir):
     files.append(snapshot_path)
 
     try:
-        model, z0, traj, diam, dd, div = _classical_stage(
+        model, z0, traj, diam, dd = _classical_stage(
             config, rundir, results, checks, files)
         delta = results["delta_z"]
         if config.engine in ("classical", "both"):
@@ -701,7 +692,7 @@ def _run(config, out_dir):
 
     record = _write_record(rundir, started, config.to_dict(), files, results,
                            checks, error)
-    return record, div, gamma
+    return record, gamma
 
 
 def compare_command(config_regular: ExperimentConfig,
@@ -744,21 +735,22 @@ def compare_command(config_regular: ExperimentConfig,
         raise ConfigError(problems)
 
     started = time.perf_counter()
+    report = {}
 
     def regime(cfg, label):
-        rec, div, gamma = _run(cfg, out_dir)
+        # the sub-run's record holds its growth-law fit and Lyapunov estimate
+        rec, gamma = _run(cfg, out_dir)
         if rec.error is not None:
             raise SimulationError(f"{label} run failed: {rec.error}")
-        lam = (rec.results.get("lyapunov") or {}).get("lambda_max")
-        recorded = rec.results.get("divergence_fit") or {}
-        window = cfg.fit.window or (tuple(recorded["window"])
-                                    if "window" in recorded else None)
-        return rec.path, RegimeRun(label=label, gamma=gamma, divergence=div,
-                                   lyapunov_max=lam, fit_window=window,
-                                   ehrenfest_t_max=cfg.ehrenfest.t_max)
+        report[f"{label}_run"] = rec.path
+        report[f"{label}_fit"] = rec.results["divergence_fit"]
+        report[f"lyapunov_{label}"] = rec.results.get(
+            "lyapunov", {}).get("lambda_max")
+        return RegimeRun(label=label, gamma=gamma,
+                         ehrenfest_t_max=cfg.ehrenfest.t_max)
 
-    reg_path, reg = regime(config_regular, "regular")
-    cha_path, cha = regime(config_chaotic, "chaotic")
+    reg = regime(config_regular, "regular")
+    cha = regime(config_chaotic, "chaotic")
     comparison = compare_regimes(reg, cha, reg.gamma.t)
 
     # comparison artifacts live in their own run directory
@@ -768,19 +760,13 @@ def compare_command(config_regular: ExperimentConfig,
     write_csv(path, ["t", "ratio"], [comparison.t, comparison.ratio])
     files.append(path)
 
-    report = {
-        "regular_run": reg_path,
-        "chaotic_run": cha_path,
+    report.update({
         "dominates": comparison.dominates,
         "t_star": comparison.t_star,
         "within_ehrenfest": comparison.within_ehrenfest,
-        "regular_fit": _fit_to_dict(comparison.regular_fit),
-        "chaotic_fit": _fit_to_dict(comparison.chaotic_fit),
-        "lyapunov_regular": reg.lyapunov_max,
-        "lyapunov_chaotic": cha.lyapunov_max,
         "ehrenfest_windows": {"regular": config_regular.ehrenfest.t_max,
                               "chaotic": config_chaotic.ehrenfest.t_max},
-    }
+    })
     path = os.path.join(rundir, "comparison.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_json_safe(report), fh, indent=2, sort_keys=True)

@@ -4,13 +4,12 @@ from hypothesis import given, settings, strategies as st
 from numpy import euler_gamma
 from scipy.special import sici
 
-from decochaos import decoherence
 from decochaos.decoherence import (HartreeErrorEstimate, RegimeRun,
                                    asymptotic_exponent, compare_regimes,
                                    hartree_error, weight_w)
 from decochaos.errors import DomainError, GridMismatchError
-from decochaos.series import (DecoherenceSeries, DivergenceSeries,
-                              DriveDifference, ExpectationSeries)
+from decochaos.series import (DecoherenceSeries, DriveDifference,
+                              ExpectationSeries)
 
 
 def make_dd(t, df_x, df_y=None):
@@ -214,32 +213,3 @@ class TestCompareRegimes:
         cha = RegimeRun("c", synthetic_gamma(t_short, 2 * t_short))
         with pytest.raises(GridMismatchError):
             compare_regimes(reg, cha, t_long)
-
-    def test_divergence_fit_is_delegated(self):
-        t = np.linspace(0.0, 10.0, 1001)
-        D = np.concatenate(([0.0], t[1:] ** 3))
-        reg = RegimeRun("r", synthetic_gamma(t, t ** 3),
-                        divergence=DivergenceSeries(t, D),
-                        fit_window=(1.0, 10.0))
-        cha = RegimeRun("c", synthetic_gamma(t, np.exp(t) - 1))
-        out = compare_regimes(reg, cha, t)
-        assert out.regular_fit is not None
-        assert out.regular_fit.kind == "power_law"
-        assert out.regular_fit.exponent_or_rate == pytest.approx(3.0,
-                                                                 abs=1e-6)
-
-    def test_only_fit_failures_mean_no_fit(self, monkeypatch):
-        t = np.linspace(0.0, 10.0, 101)
-        reg = RegimeRun("r", synthetic_gamma(t, t), fit_window=(20.0, 30.0))
-        cha = RegimeRun("c", synthetic_gamma(t, 2 * t),
-                        fit_window=(20.0, 30.0))
-        # an empty window is a FitError: the comparison goes on unfitted
-        out = compare_regimes(reg, cha, t)
-        assert out.regular_fit is None and out.chaotic_fit is None
-
-        def broken(*args, **kwargs):
-            raise RuntimeError("programming error")
-
-        monkeypatch.setattr(decoherence, "classify_scaling", broken)
-        with pytest.raises(RuntimeError, match="programming error"):
-            compare_regimes(reg, cha, t)

@@ -9,15 +9,17 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from decochaos import classical, decoherence, harness
 from decochaos.cli import main as cli_main
 from decochaos.decoherence import RegimeRun, compare_regimes
-from decochaos.errors import ConfigError
+from decochaos.errors import ConfigError, DomainError
 from decochaos.harness import (ExperimentConfig, _parse_config,
                                compare_command, load_config, run_experiment,
                                write_csv)
-from decochaos.series import DecoherenceSeries, DivergenceSeries
+from decochaos.series import DecoherenceSeries
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 MINIMAL = {
     "seed": 42,
@@ -41,6 +43,20 @@ SMALL_RUN = {
 }
 
 
+def short_shipped_pair():
+    """The shipped compare pair cut to t = 30, without the exact oracle and
+    with the saturation-aware default fit window."""
+    def short(name):
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        return dataclasses.replace(
+            cfg, integrator=dataclasses.replace(cfg.integrator,
+                                                n_steps=6000),
+            bath=dataclasses.replace(cfg.bath, n_modes=None),
+            fit=dataclasses.replace(cfg.fit, window=None))
+
+    return short("regular_quartic.yaml"), short("chaotic_henon.yaml")
+
+
 def write_yaml(tmp_path, data, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
@@ -61,7 +77,6 @@ class TestLoadConfig:
         assert cfg.integrator.energy_drift_bound == 1e-6
         assert cfg.initial.delta_z is None
         assert cfg.bath is None
-        assert cfg.superposition == pytest.approx((2 ** -0.5, 2 ** -0.5))
 
     def test_bath_sampling_bound_named_in_rejection(self, tmp_path):
         bad = copy.deepcopy(MINIMAL)
@@ -95,6 +110,20 @@ class TestLoadConfig:
         bad["intergrator"] = bad["integrator"]
         with pytest.raises(ConfigError, match="intergrator"):
             load_config(write_yaml(tmp_path, bad))
+
+    def test_superposition_is_an_unknown_key(self, tmp_path):
+        data = {**MINIMAL, "superposition": {"c1": 0.6, "c2": 0.8}}
+        with pytest.raises(ConfigError,
+                           match="unknown config key 'superposition'"):
+            load_config(write_yaml(tmp_path, data))
+
+    def test_readme_config_sketch_parses(self):
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            text = fh.read()
+        sketch = text.split("## Config sketch", 1)[1]
+        sketch = sketch.split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = _parse_config(yaml.safe_load(sketch))
+        assert config.lyapunov is not None and config.grid is not None
 
     def test_quantum_engine_requires_grid(self, tmp_path):
         bad = copy.deepcopy(MINIMAL)
@@ -164,8 +193,7 @@ class TestRunExperiment:
         record = run_experiment(cfg, str(tmp_path / "runs"))
         headers = {
             "divergence.csv": "t,D,separation,energy_drift",
-            "decoherence_classical.csv":
-                "t,gamma_asymptotic,gamma_oracle,engine",
+            "decoherence_classical.csv": "t,gamma_asymptotic,gamma_oracle",
             "trajectory.csv": "t,qx,qy,px,py,energy",
         }
         for name, header in headers.items():
@@ -173,7 +201,7 @@ class TestRunExperiment:
             assert first == header, name
         row = open(os.path.join(record.path,
                                 "decoherence_classical.csv")).readlines()[1]
-        assert row.strip().endswith(",classical")
+        assert len(row.split(",")) == 3
         # the oracle column lives in decoherence_<engine>.csv only
         assert "gamma_oracle_classical.csv" not in record.manifest
 
@@ -293,6 +321,26 @@ class TestRunExperiment:
         assert record.checks["expected_scaling"]["pass"]
 
 
+    def test_only_fit_failures_mean_no_fit(self, tmp_path, monkeypatch):
+        data = copy.deepcopy(SMALL_RUN)
+        data["fit"] = {"window": [20.0, 30.0]}
+        del data["bath"]["n_modes"]
+        cfg = load_config(write_yaml(tmp_path, data))
+        # the run ends at t = 6, so the window is empty: a FitError, and
+        # the run goes on unfitted
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error is None
+        assert record.results["divergence_fit"] is None
+
+        def broken(*args, **kwargs):
+            raise DomainError("not a fit failure")
+
+        monkeypatch.setattr(harness, "classify_scaling", broken)
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error == {"type": "DomainError",
+                                "message": "not a fit failure"}
+
+
 class TestCompareCommand:
     def test_matching_rules_enforced(self, tmp_path):
         reg = load_config(os.path.join(CONFIG_DIR, "regular_quartic.yaml"))
@@ -332,17 +380,9 @@ class TestCompareCommand:
     def test_in_memory_compare_matches_the_csv_path(self, tmp_path):
         # compare builds both sides from the sub-runs' series in memory;
         # rebuilt from their CSVs (17 digits round-trip a float64) the
-        # comparison must come out the same
-        def short(name):
-            cfg = load_config(os.path.join(CONFIG_DIR, name))
-            return dataclasses.replace(
-                cfg, integrator=dataclasses.replace(cfg.integrator,
-                                                    n_steps=6000),
-                bath=dataclasses.replace(cfg.bath, n_modes=None),
-                fit=dataclasses.replace(cfg.fit, window=None))
-
-        configs = {"regular": short("regular_quartic.yaml"),
-                   "chaotic": short("chaotic_henon.yaml")}
+        # comparison must come out the same, and its fits are the ones
+        # the sub-runs recorded
+        configs = dict(zip(("regular", "chaotic"), short_shipped_pair()))
         record = compare_command(configs["regular"], configs["chaotic"],
                                  str(tmp_path / "runs"))
         res = record.results
@@ -353,49 +393,57 @@ class TestCompareCommand:
             t, g = read_columns(
                 os.path.join(rundir, "decoherence_classical.csv"),
                 "t", "gamma_asymptotic")
-            td, D = read_columns(os.path.join(rundir, "divergence.csv"),
-                                 "t", "D")
             with open(os.path.join(rundir, "record.json")) as fh:
-                window = json.load(fh)["results"]["divergence_fit"]["window"]
+                recorded = json.load(fh)["results"]["divergence_fit"]
+            assert recorded is not None
+            assert res[f"{label}_fit"] == recorded
             runs[label] = RegimeRun(
                 label, DecoherenceSeries(t, g, source="asymptotic"),
-                divergence=DivergenceSeries(td, D), fit_window=tuple(window),
                 ehrenfest_t_max=cfg.ehrenfest.t_max)
         expected = compare_regimes(runs["regular"], runs["chaotic"],
                                    runs["regular"].gamma.t)
 
         assert expected.dominates and res["dominates"] is True
         assert res["t_star"] == expected.t_star
-        assert res["chaotic_fit"]["exponent_or_rate"] == \
-            expected.chaotic_fit.exponent_or_rate
         (ratio,) = read_columns(os.path.join(record.path, "gamma_ratio.csv"),
                                 "ratio")
         np.testing.assert_array_equal(ratio, expected.ratio)
+
+    def test_compare_fits_each_divergence_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return classical.classify_scaling(*args, **kwargs)
+
+        for module in (harness, decoherence):
+            if hasattr(module, "classify_scaling"):
+                monkeypatch.setattr(module, "classify_scaling", counted)
+        compare_command(*short_shipped_pair(), str(tmp_path / "runs"))
+        assert len(calls) == 2
 
 
 class TestWriteCsv:
     def test_format_and_line_endings(self, tmp_path):
         path = tmp_path / "x.csv"
-        write_csv(str(path), ["t", "v", "tag"],
-                  [np.array([0.0, 1.0 / 3.0]), np.array([1.0, 2.0]),
-                   ["a", "b"]])
+        write_csv(str(path), ["t", "v"],
+                  [np.array([0.0, 1.0 / 3.0]), np.array([1.0, 2.0])])
         raw = path.read_bytes()
         assert b"\r" not in raw
         text = raw.decode().splitlines()
-        assert text[0] == "t,v,tag"
+        assert text[0] == "t,v"
         assert text[2].startswith("0.33333333333333331,")
 
-    def test_special_values_and_string_column_bytes(self, tmp_path):
+    def test_special_values_bytes(self, tmp_path):
         path = tmp_path / "x.csv"
-        write_csv(str(path), ["a", "b", "engine"],
+        write_csv(str(path), ["a", "b"],
                   [np.array([np.nan, -0.0, 0.1]),
-                   np.array([np.inf, 5e-324, -np.inf]),
-                   ["quantum", "classical", "quantum"]])
+                   np.array([np.inf, 5e-324, -np.inf])])
         assert path.read_bytes() == (
-            b"a,b,engine\n"
-            b"nan,inf,quantum\n"
-            b"-0,4.9406564584124654e-324,classical\n"
-            b"0.10000000000000001,-inf,quantum\n")
+            b"a,b\n"
+            b"nan,inf\n"
+            b"-0,4.9406564584124654e-324\n"
+            b"0.10000000000000001,-inf\n")
 
 
 class TestCli:
@@ -451,14 +499,11 @@ class TestCli:
         ({"model": {"family": "separable_quartic", "params": {"a": "2"}}},
          "model"),
         ({"initial": {"z": ["1", 0.0, 0.0, 0.5]}}, "initial"),
-        ({"superposition": {"c1": float("inf"), "c2": 0.5}},
-         "superposition"),
-        ({"superposition": {"c1": "0.7", "c2": 0.7}}, "superposition"),
         ({"grid": {"nx": 64, "ny": 64, "lx": 12.0, "ly": 12.0,
                    "widths": [0.7, 0.7], "save_snapshots": "no"}},
          "grid.save_snapshots"),
-    ], ids=["param-nan", "param-string", "z-string", "weight-inf",
-            "weight-string", "save_snapshots-string"])
+    ], ids=["param-nan", "param-string", "z-string",
+            "save_snapshots-string"])
     def test_non_numbers_are_not_coerced(self, tmp_path, capsys, change,
                                          key):
         path = write_yaml(tmp_path, {**MINIMAL, **change})
@@ -561,6 +606,61 @@ class TestCli:
         assert cli_main(["fit", "--csv", str(path)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_fit_config_reports_the_decohere_fit(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "chaotic_henon.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["integrator"]["n_steps"] = 6000
+        del data["bath"]["n_modes"]
+        path = write_yaml(tmp_path, data)
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(runs)]) == 0
+        (rundir,) = os.listdir(runs)
+        with open(runs / rundir / "record.json") as fh:
+            recorded = json.load(fh)["results"]["divergence_fit"]
+        capsys.readouterr()
+        assert cli_main(["fit", "--config", path]) == 0
+        printed = dict(line.split(": ", 1)
+                       for line in capsys.readouterr().out.splitlines())
+        assert printed["kind"] == recorded["kind"]
+        assert printed["exponent_or_rate"] == \
+            f"{recorded['exponent_or_rate']:.6g}"
+        assert printed["window"] == str(tuple(recorded["window"]))
+
+    def test_fit_config_without_a_fit_exits_2(self, tmp_path, capsys):
+        # the run ends at t = 6: the window holds no samples
+        path = write_yaml(tmp_path, SMALL_RUN)
+        assert cli_main(["fit", "--config", path, "--window", "20",
+                         "30"]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", [
+        ["10", "1"], ["1", "1"], ["nan", "10"], ["1", "inf"]],
+        ids=["reversed", "empty", "nan", "inf"])
+    def test_fit_window_follows_the_config_rule(self, tmp_path, capsys,
+                                                window):
+        t = np.linspace(0.0, 10.0, 401)
+        csv_path = str(tmp_path / "div.csv")
+        write_csv(csv_path, ["t", "D"], [t, t ** 3])
+        config = write_yaml(tmp_path, SMALL_RUN)
+        for source in (["--csv", csv_path], ["--config", config]):
+            assert cli_main(["fit", *source, "--window", *window]) == 1
+            assert "  - --window: need [t_lo, t_hi] with t_lo < t_hi" in \
+                capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, out", [
+        ("propagate", "missing/x.csv"), ("decohere", "file/sub")])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, command, out):
+        # a missing parent directory, and a file where the run directory's
+        # parent should be
+        (tmp_path / "file").write_text("")
+        path = write_yaml(tmp_path, SMALL_RUN)
+        out = str(tmp_path / out)
+        assert cli_main([command, "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out in err
+
     def test_runtime_failure_exit_code(self, tmp_path):
         data = copy.deepcopy(MINIMAL)
         data["model"] = {"family": "inverted_harmonic"}
@@ -614,7 +714,6 @@ FULL = {
              "n_modes": 2000},
     "fit": {"window": [5.0, 20.0], "expected_scaling": "power_law"},
     "ehrenfest": {"t_max": 15.0, "threshold": 0.01},
-    "superposition": {"c1": 0.6, "c2": 0.8},
 }
 
 
