@@ -6,8 +6,10 @@ polarizations couple to the x and y position drives. The module supplies
 the discretized bath, the driven coherent-state amplitude of a single
 mode, and the exact decoherence exponent of the discrete bath, which is
 the brute-force oracle against which the high-temperature asymptotic
-formula is checked. The oracle costs O(n_modes * n_t) time and
-O(n_modes + n_t) memory.
+formula is checked. The oracle needs evenly spaced modes, as
+``discretize_bath`` makes them; it costs one chirp-z transform for the
+bath's lag kernel and one FFT convolution per driven axis, so
+O((n_modes + n_t) log(n_modes + n_t)) time and O(n_modes + n_t) memory.
 
 Units: hbar = k_B = 1; thermal occupation uses n(w) = 1/(exp(w/T) - 1).
 """
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .errors import DomainError
 from .series import DecoherenceSeries, DriveDifference, uniform_dt
@@ -161,41 +162,96 @@ def _require_identity():
     _identity_verified = True
 
 
+def _mode_grid(omegas: np.ndarray) -> tuple[float, float]:
+    """(omega_0, delta_omega) of evenly spaced modes omega_0 + j delta_omega.
+
+    A mode more than 1e-12 max(omega) off the progression is an error;
+    the tolerance scales with the frequencies, not with the spacing,
+    which rounding misses by more as the mode count grows.
+    """
+    n = omegas.size
+    step = (omegas[-1] - omegas[0]) / (n - 1) if n > 1 else 0.0
+    miss = np.max(np.abs(omegas - (omegas[0] + step * np.arange(n))))
+    if miss > 1e-12 * omegas[-1]:
+        raise DomainError("the oracle needs evenly spaced bath modes "
+                          f"(a mode is {miss:g} off the progression)")
+    return float(omegas[0]), float(step)
+
+
+def _fft_size(n: int) -> int:
+    return 1 << (n - 1).bit_length()
+
+
+def _lag_kernel(omega_0: float, step: float, strength: np.ndarray,
+                dt: float, n_lags: int) -> np.ndarray:
+    """K(l) = sum_j S_j cos((omega_0 + j step) l dt) for l < n_lags.
+
+    One chirp-z transform (Rabiner, Schafer & Rader 1969) by Bluestein's
+    identity jl = (j^2 + l^2 - (l - j)^2)/2, which turns the sum over
+    evenly spaced modes into one FFT convolution with a chirp.
+    """
+    n = strength.size
+    # the chirp phase grows as m^2, to thousands of radians; long double,
+    # where it is wider than a double, keeps its rounding near 1e-16
+    m = np.arange(max(n, n_lags), dtype=np.longdouble)
+    chirp = np.exp(0.5j * np.longdouble(step * dt) * m * m).astype(complex)
+    size = _fft_size(n + n_lags - 1)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n_lags] = chirp[:n_lags].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    z = np.fft.ifft(np.fft.fft(strength * chirp[:n], size)
+                    * np.fft.fft(kernel))[:n_lags]
+    lags = np.arange(n_lags)
+    return (np.exp(1j * omega_0 * dt * lags) * chirp[:n_lags] * z).real
+
+
 def decoherence_exponent_oracle(bath: BathDiscretization,
                                 dd: DriveDifference,
                                 temperature: float) -> DecoherenceSeries:
     """Exact decoherence exponent of the discrete thermal bath.
 
-    Each mode j of polarization n, driven by the difference of the two
-    mean-position histories, contributes
-    ``weight_j (n_j + 1/2) |s_j(t)|^2`` to -ln |coherence factor|, where
-    s_j is the running Fourier transform of the drive difference, summed
-    by the trapezoid rule. The x and y drive components address the two
-    polarizations. One pass over the samples carries the per-mode phases
-    and sums: O(n_modes * n_t) time, O(n_modes + n_t) memory.
+    Each mode j of polarization n, driven by the difference f of the two
+    mean-position histories, contributes ``S_j |s_j(t)|^2`` with
+    ``S_j = weight_j (n_j + 1/2)`` to -ln |coherence factor|, where s_j
+    is the running Fourier transform of f, summed by the trapezoid rule.
+    The x and y drive components address the two polarizations.
+
+    Expanding |s_j|^2 leaves only the lag kernel
+    K(l) = sum_j S_j cos(omega_j l dt). Per driven axis, with the causal
+    convolution R = f * K, P = cumsum(f (2R - f K_0)) and
+    Q = cumsum(f K), the trapezoid sum is ``gamma_k = dt^2 [P_k -
+    (f_0 Q_k + f_k R_k) + (K_0 (f_0^2 + f_k^2) + 2 f_0 f_k K_k)/4]``.
+    K is one chirp-z transform, so the modes must be evenly spaced
+    (DomainError otherwise), and R one real FFT convolution:
+    O((n_modes + n_t) log(n_modes + n_t)) time, O(n_modes + n_t)
+    memory. Roundoff negatives of a gamma that returns to zero are
+    clamped to 0.
     """
     if not 0 < temperature < math.inf:
         raise DomainError("temperature must be a positive finite number")
+    omega_0, step = _mode_grid(bath.omegas)
     _require_identity()
     bath.spectral.check_drive_step(dd.dt)
 
     strength = bath.weights * (thermal_occupation(bath.omegas, temperature)
                                + 0.5)
-    gamma = np.zeros_like(dd.t)
+    n_t = dd.t.size
+    gamma = np.zeros(n_t)
     drives = [d for d in (dd.df_x, dd.df_y) if np.any(d)]
     if drives:
-        f = np.stack(drives, axis=1)[:, :, None]    # (n_t, n_axes, 1)
-        half_dt = 0.5 * dd.dt
-        ratio = np.exp(1j * bath.omegas * dd.dt)
-        phase = np.exp(1j * bath.omegas * dd.t[0])
-        g = f[0] * phase                            # (n_axes, n_modes)
-        s = np.zeros_like(g)
-        for k in range(1, dd.t.size):
-            phase *= ratio
-            g_next = f[k] * phase
-            s += half_dt * (g + g_next)
-            g = g_next
-            gamma[k] = np.sum(strength * (s.real ** 2 + s.imag ** 2))
+        lag = _lag_kernel(omega_0, step, strength, dd.dt, n_t)
+        size = _fft_size(2 * n_t - 1)
+        lag_fft = np.fft.rfft(lag, size)
+        for f in drives:
+            r = np.fft.irfft(np.fft.rfft(f, size) * lag_fft, size)[:n_t]
+            p = np.cumsum(f * (2.0 * r - f * lag[0]))
+            q = np.cumsum(f * lag)
+            gamma += (p - (f[0] * q + f * r)
+                      + 0.25 * (lag[0] * (f[0] ** 2 + f ** 2)
+                                + 2.0 * f[0] * f * lag))
+        gamma *= dd.dt ** 2
+        gamma[0] = 0.0
+        np.maximum(gamma, 0.0, out=gamma)
     return DecoherenceSeries(dd.t.copy(), gamma, source="oracle")
 
 
@@ -220,8 +276,19 @@ def thermal_displacement_brute(mu: complex, omega: float, temperature: float,
     beta_omega = omega / temperature
     log_p = -beta_omega * n
     log_p -= np.log(np.sum(np.exp(log_p - log_p.max()))) + log_p.max()
-    diag = np.exp(-0.5 * x) * eval_laguerre(n, x)
+    diag = np.exp(-0.5 * x) * _laguerre(n_max, x)
     return float(np.sum(np.exp(log_p) * diag))
+
+
+def _laguerre(n_max: int, x: float) -> np.ndarray:
+    """Laguerre polynomials L_0(x) .. L_n_max(x) by the three-term
+    recurrence L_{n+1} = ((2n + 1 - x) L_n - n L_{n-1}) / (n + 1)."""
+    values = np.empty(n_max + 1)
+    values[0], values[1] = 1.0, 1.0 - x
+    for n in range(1, n_max):
+        values[n + 1] = ((2 * n + 1 - x) * values[n]
+                         - n * values[n - 1]) / (n + 1)
+    return values
 
 
 def verify_displacement_identity(omega: float = 1.0, temperature: float = 2.0,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classical import classify_scaling, max_lyapunov, propagate
@@ -38,6 +39,16 @@ def _load(args, attr="config"):
     return _apply_overrides(config, args)
 
 
+def _writable(path):
+    """Return path, or raise the OSError that writing it would raise,
+    before a command spends its computation on a file it cannot write."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="ascii").close()
+    if not existed:
+        os.remove(path)
+    return path
+
+
 def cmd_validate_config(args):
     load_config(args.config)
     print(f"{args.config}: OK")
@@ -46,11 +57,11 @@ def cmd_validate_config(args):
 
 def cmd_propagate(args):
     config = _load(args)
+    out = _writable(args.out or "trajectory.csv")
     model = config.model.build()
     integ = config.integrator
     traj = propagate(model, PhasePoint(*config.initial.z), integ.dt,
                      integ.n_steps, integ.escape_radius)
-    out = args.out or "trajectory.csv"
     write_csv(out, ["t", "qx", "qy", "px", "py", "energy"],
               [traj.t, traj.z[:, 0], traj.z[:, 1], traj.z[:, 2],
                traj.z[:, 3], traj.energy])
@@ -63,6 +74,7 @@ def cmd_lyapunov(args):
     config = _load(args)
     if config.lyapunov is None:
         raise ConfigError(["lyapunov: section is required for this command"])
+    out = _writable(args.out or "lyapunov.csv")
     model = config.model.build()
     integ = config.integrator
     est = max_lyapunov(model, PhasePoint(*config.initial.z),
@@ -70,7 +82,6 @@ def cmd_lyapunov(args):
                        config.lyapunov.total_time,
                        config.lyapunov.renorm_interval, config.seed,
                        integ.escape_radius)
-    out = args.out or "lyapunov.csv"
     write_csv(out, ["t", "lambda_running"],
               [est.convergence[:, 0], est.convergence[:, 1]])
     print(f"lambda_max = {est.lambda_max:.6g} "

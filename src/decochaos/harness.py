@@ -20,7 +20,6 @@ import time
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -446,7 +445,6 @@ def _write_record(rundir, started, config, files, results, checks,
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "wall_clock_seconds": time.perf_counter() - started,
         "config": record.config,

@@ -72,10 +72,11 @@ class PhasePoint:
 class HamiltonianModel:
     """Base class: a 2D potential V(qx, qy) plus standard kinetic energy.
 
-    Subclasses implement ``potential_xy``, ``grad_xy`` and ``hessian_xy``
-    with plain arithmetic so both scalars and arrays pass through, and
-    pass their parameters to this constructor, which stores each as a
-    float attribute once it is a finite real number.
+    Subclasses implement ``potential_xy``, ``force`` (minus the
+    gradient) and ``hessian_xy`` with plain arithmetic so both scalars
+    and arrays pass through, and pass their parameters to this
+    constructor, which stores each as a float attribute once it is a
+    finite real number.
     """
 
     family = "base"
@@ -95,16 +96,13 @@ class HamiltonianModel:
     def potential_xy(self, qx, qy):
         raise NotImplementedError
 
-    def grad_xy(self, qx, qy):
+    def force(self, qx, qy):
+        """Return (-dV/dqx, -dV/dqy)."""
         raise NotImplementedError
 
     def hessian_xy(self, qx, qy):
         """Return (Vxx, Vxy, Vyy); the matrix is symmetric by construction."""
         raise NotImplementedError
-
-    def force(self, qx, qy):
-        gx, gy = self.grad_xy(qx, qy)
-        return -gx, -gy
 
     def total_energy(self, z: PhasePoint) -> float:
         kinetic = (z.px ** 2 + z.py ** 2) / (2.0 * self.mass)
@@ -140,9 +138,9 @@ class Harmonic2D(HamiltonianModel):
         return 0.5 * self.mass * (self.omega_x ** 2 * qx ** 2
                                   + self.omega_y ** 2 * qy ** 2)
 
-    def grad_xy(self, qx, qy):
-        return (self.mass * self.omega_x ** 2 * qx,
-                self.mass * self.omega_y ** 2 * qy)
+    def force(self, qx, qy):
+        return (-(self.mass * self.omega_x ** 2 * qx),
+                -(self.mass * self.omega_y ** 2 * qy))
 
     def hessian_xy(self, qx, qy):
         kxx = self.mass * self.omega_x ** 2
@@ -169,8 +167,8 @@ class InvertedHarmonic(HamiltonianModel):
     def potential_xy(self, qx, qy):
         return 0.5 * self.mass * (-self.k * qx ** 2 + qy ** 2)
 
-    def grad_xy(self, qx, qy):
-        return (-self.mass * self.k * qx, self.mass * qy)
+    def force(self, qx, qy):
+        return (self.mass * self.k * qx, -self.mass * qy)
 
     def hessian_xy(self, qx, qy):
         return (-self.mass * self.k + 0.0 * qx, 0.0 * qx,
@@ -194,8 +192,8 @@ class SeparableQuartic(HamiltonianModel):
     def potential_xy(self, qx, qy):
         return 0.25 * (self.a * qx ** 4 + self.b * qy ** 4)
 
-    def grad_xy(self, qx, qy):
-        return (self.a * qx ** 3, self.b * qy ** 3)
+    def force(self, qx, qy):
+        return (-(self.a * qx ** 3), -(self.b * qy ** 3))
 
     def hessian_xy(self, qx, qy):
         return (3.0 * self.a * qx ** 2, 0.0 * qx, 3.0 * self.b * qy ** 2)
@@ -219,9 +217,9 @@ class HenonHeiles(HamiltonianModel):
         return (0.5 * (qx ** 2 + qy ** 2)
                 + self.lam * (qx ** 2 * qy - qy ** 3 / 3.0))
 
-    def grad_xy(self, qx, qy):
-        return (qx + 2.0 * self.lam * qx * qy,
-                qy + self.lam * (qx ** 2 - qy ** 2))
+    def force(self, qx, qy):
+        return (-(qx + 2.0 * self.lam * qx * qy),
+                -(qy + self.lam * (qx ** 2 - qy ** 2)))
 
     def hessian_xy(self, qx, qy):
         return (1.0 + 2.0 * self.lam * qy,
@@ -242,9 +240,9 @@ class PullenEdmonds(HamiltonianModel):
     def potential_xy(self, qx, qy):
         return 0.5 * (qx ** 2 + qy ** 2) + self.alpha * qx ** 2 * qy ** 2
 
-    def grad_xy(self, qx, qy):
-        return (qx + 2.0 * self.alpha * qx * qy ** 2,
-                qy + 2.0 * self.alpha * qx ** 2 * qy)
+    def force(self, qx, qy):
+        return (-(qx + 2.0 * self.alpha * qx * qy ** 2),
+                -(qy + 2.0 * self.alpha * qx ** 2 * qy))
 
     def hessian_xy(self, qx, qy):
         return (1.0 + 2.0 * self.alpha * qy ** 2,

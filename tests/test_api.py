@@ -14,8 +14,8 @@ PACKAGE = ROOT / "src" / "decochaos"
 
 # public names that only unit tests call, with the reason they stay
 TEST_REFERENCES = {
-    "evolve_bath_amplitude": "single-mode reference the oracle test "
-                             "checks the recurrence against",
+    "evolve_bath_amplitude": "single-mode reference whose mode sum the "
+                             "oracle tests check the FFT oracle against",
     "load_wavepacket": "reads back save_wavepacket snapshots in the "
                        "snapshot round-trip test",
 }

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import eval_laguerre
 
 from decochaos.bath import (BathDiscretization, SpectralDensity,
                             decoherence_exponent_oracle, discretize_bath,
@@ -122,7 +123,8 @@ class TestOracle:
         elif case == "y-only":
             df_x = np.zeros_like(t)
         elif case == "hand-built-modes":
-            bath = BathDiscretization(np.array([0.37, 1.9, 2.05, 6.3, 9.99]),
+            # evenly spaced but offset: not the midpoints of any grid
+            bath = BathDiscretization(0.37 + 1.9 * np.arange(5),
                                       np.array([0.2, 0.05, 1.3, 0.7, 0.01]),
                                       sd)
         dd = make_dd(t, df_x, df_y)
@@ -131,6 +133,58 @@ class TestOracle:
         assert out.gamma[0] == ref[0] == 0.0
         rel = np.abs(out.gamma[1:] - ref[1:]) / ref[1:]
         assert np.max(rel) <= 1e-12
+
+    @pytest.mark.parametrize("t0", [0.0, 3.7])
+    def test_long_growing_drive_matches_per_mode_reference(self, t0):
+        # a chaotic-like x+y drive difference growing by e^6 over 6001
+        # samples, on the shipped bath size
+        sd = SpectralDensity(1.0, 10.0)
+        bath = discretize_bath(sd, 2000)
+        t = t0 + 0.005 * np.arange(6001)
+        s = t - t0
+        df_x = 1e-4 * np.exp(0.2 * s) * np.sin(1.3 * s + 0.4)
+        df_y = 1e-4 * np.exp(0.2 * s) * np.cos(0.7 * s) * (1 + 0.3 * s)
+        dd = make_dd(t, df_x, df_y)
+        out = decoherence_exponent_oracle(bath, dd, 1000.0)
+        ref = per_mode_exponent(bath, dd, 1000.0)
+        assert np.max(np.abs(out.gamma - ref)) <= 1e-12 * np.max(ref)
+        assert abs(out.gamma[-1] - ref[-1]) <= 1e-12 * ref[-1]
+
+    def test_uneven_modes_rejected(self):
+        sd = SpectralDensity(1.0, 10.0)
+        bath = BathDiscretization(np.array([0.37, 1.9, 2.05, 6.3, 9.99]),
+                                  np.array([0.2, 0.05, 1.3, 0.7, 0.01]), sd)
+        t = np.linspace(0.0, 5.0, 2001)
+        with pytest.raises(DomainError, match="evenly spaced"):
+            decoherence_exponent_oracle(bath, make_dd(t, 0.01 * np.sin(t)),
+                                        50.0)
+
+    @pytest.mark.parametrize("n_modes", [2, 2000, 10_000, 1_000_000])
+    def test_midpoint_grids_are_evenly_spaced(self, n_modes):
+        # rounding misses the progression by more than 1e-12 of the
+        # spacing at 10^4 modes, but never by 1e-12 of the top frequency
+        from decochaos.bath import _mode_grid
+
+        bath = discretize_bath(SpectralDensity(1.0, 10.0), n_modes)
+        omega_0, step = _mode_grid(bath.omegas)
+        assert omega_0 == bath.omegas[0]
+        assert step == pytest.approx(10.0 / n_modes, rel=1e-12)
+
+    def test_recurrence_to_zero_is_clamped(self):
+        # over whole periods the trapezoid sum of e^{i omega t} vanishes,
+        # so gamma returns to zero; its roundoff negatives become 0
+        omega, weight, temperature = 2.0, 0.5, 20.0
+        sd = SpectralDensity(1.0, 10.0)
+        bath = BathDiscretization(np.array([omega]), np.array([weight]), sd)
+        period = 2 * np.pi / omega
+        t = np.arange(0.0, 3 * period + 1e-12, period / 1000)
+        dd = make_dd(t, np.full_like(t, 0.01))
+        out = decoherence_exponent_oracle(bath, dd, temperature)
+        ref = per_mode_exponent(bath, dd, temperature)
+        clamped = out.gamma[1:] == 0.0
+        assert np.any(clamped)
+        assert np.all(ref[1:][clamped] <= 1e-12 * np.max(ref))
+        assert np.max(np.abs(out.gamma - ref)) <= 1e-12 * np.max(ref)
 
     def test_zero_drive_difference(self):
         sd = SpectralDensity(1.0, 10.0)
@@ -278,6 +332,13 @@ class TestDisplacementIdentity:
         exact = thermal_displacement_expectation(mu, 1.0, 2.0)
         brute = thermal_displacement_brute(mu, 1.0, 2.0, n_max=300)
         assert brute == pytest.approx(exact, abs=1e-6)
+
+    @pytest.mark.parametrize("x", [0.09, 0.5, 1.44, 2.5, 5.0])
+    def test_laguerre_recurrence_matches_scipy(self, x):
+        from decochaos.bath import _laguerre
+
+        assert np.max(np.abs(_laguerre(400, x)
+                             - eval_laguerre(np.arange(401), x))) < 1e-12
 
     def test_truncation_floor_enforced(self):
         with pytest.raises(DomainError):

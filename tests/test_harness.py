@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -447,6 +450,16 @@ class TestWriteCsv:
 
 
 class TestCli:
+    def test_cli_import_leaves_out_scipy(self):
+        # scipy is a test dependency only
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import decochaos.cli; "
+                "print(sorted(m for m in sys.modules if 'scipy' in m))")
+        done = subprocess.run([sys.executable, "-c", code, src], check=True,
+                              capture_output=True, text=True)
+        assert done.stdout.strip() == "[]"
+
     def test_validate_ok_and_fail(self, tmp_path, capsys):
         good = write_yaml(tmp_path, MINIMAL)
         assert cli_main(["validate-config", "--config", good]) == 0
@@ -660,6 +673,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert out in err
+
+    @pytest.mark.parametrize("command, work", [
+        ("propagate", "propagate"), ("lyapunov", "max_lyapunov")])
+    def test_unwritable_out_fails_before_the_work(self, tmp_path, capsys,
+                                                  monkeypatch, command, work):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran before --out was checked")
+
+        monkeypatch.setattr(f"decochaos.cli.{work}", never)
+        data = copy.deepcopy(SMALL_RUN)
+        data["lyapunov"] = {"total_time": 200.0, "renorm_interval": 1.0}
+        path = write_yaml(tmp_path, data)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert cli_main([command, "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err
+
+    def test_checking_out_leaves_no_file_behind(self, tmp_path):
+        # a run that fails after the --out check must not leave an
+        # empty CSV where none was
+        data = copy.deepcopy(MINIMAL)
+        data["model"] = {"family": "inverted_harmonic"}
+        data["initial"] = {"z": [0.5, 0.0, 0.0, 0.0]}
+        data["integrator"] = {"dt": 0.01, "n_steps": 2000,
+                              "escape_radius": 5.0}
+        path = write_yaml(tmp_path, data)
+        out = tmp_path / "x.csv"
+        assert cli_main(["propagate", "--config", path, "--out",
+                         str(out)]) == 2
+        assert not out.exists()
 
     def test_runtime_failure_exit_code(self, tmp_path):
         data = copy.deepcopy(MINIMAL)

@@ -25,7 +25,7 @@ TEST_POINTS = [(0.0, 0.0), (0.3, -0.2), (1.0, 1.0), (-0.7, 0.45),
 
 
 def grad(model, qx, qy):
-    return np.array(model.grad_xy(qx, qy))
+    return -np.array(model.force(qx, qy))
 
 
 def hessian(model, qx, qy):
