@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EscapeError, FitError
-from .models import HamiltonianModel, PhasePoint
-from .series import DivergenceSeries, Trajectory, cumulative_trapezoid
+from .models import HamiltonianModel, PhasePoint, _finite_real
+from .series import (DivergenceSeries, Trajectory, _check_step,
+                     cumulative_trapezoid)
 
 __all__ = [
     "DEFAULT_ESCAPE_RADIUS",
@@ -43,13 +44,6 @@ _W0 = 1.0 - 2.0 * _W1
 _C1 = 0.5 * _W1
 _C2 = 0.5 * (_W1 + _W0)
 # step = drift(_C1) kick(_W1) drift(_C2) kick(_W0) drift(_C2) kick(_W1) drift(_C1)
-
-
-def _validate_step_args(dt, n_steps):
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be a positive finite number, got {dt!r}")
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise DomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
 
 def _escape(t, qx, qy, px, py, buf, i, model):
@@ -82,7 +76,7 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
     Raises EscapeError (carrying the last valid sample and any partial
     trajectory) if the position leaves the disc of radius escape_radius.
     """
-    _validate_step_args(dt, n_steps)
+    _check_step(dt, n_steps)
     qx, qy, px, py = z0.qx, z0.qy, z0.px, z0.py
     inv_m = 1.0 / model.mass
     a1 = _C1 * dt * inv_m
@@ -163,9 +157,10 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
     is rescaled to unit length. The running estimate is
     lambda(T) = (1/T) * sum of log stretches.
     """
-    _validate_step_args(dt, 1)
-    if not (total_time >= 10.0 * renorm_interval >= 100.0 * dt):
-        raise DomainError("need total_time >= 10*renorm_interval and "
+    _check_step(dt, 1)
+    if not (_finite_real(total_time) and _finite_real(renorm_interval)
+            and total_time >= 10.0 * renorm_interval >= 100.0 * dt):
+        raise DomainError("need finite total_time >= 10*renorm_interval and "
                           "renorm_interval >= 10*dt")
     k = max(1, round(renorm_interval / dt))
     n_renorms = max(1, round(total_time / (k * dt)))

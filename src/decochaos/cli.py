@@ -19,12 +19,12 @@ from .models import PhasePoint
 from .series import DivergenceSeries
 
 
-def _apply_overrides(config, args):
-    changes = {}
-    if getattr(args, "seed", None) is not None:
-        changes["seed"] = args.seed
-    if getattr(args, "engine", None) is not None:
-        changes["engine"] = args.engine
+def _load(args, attr="config"):
+    """The config file args.<attr>, with the --seed and --engine
+    overrides of the commands that take them."""
+    config = load_config(getattr(args, attr))
+    changes = {key: getattr(args, key) for key in ("seed", "engine")
+               if getattr(args, key, None) is not None}
     if changes:
         # rebuild through the validator so overrides cannot bypass
         # cross-field constraints (e.g. quantum engines need a grid)
@@ -32,11 +32,6 @@ def _apply_overrides(config, args):
 
         config = ExperimentConfig.from_dict({**config.to_dict(), **changes})
     return config
-
-
-def _load(args, attr="config"):
-    config = load_config(getattr(args, attr))
-    return _apply_overrides(config, args)
 
 
 def _writable(path):
@@ -104,9 +99,8 @@ def cmd_decohere(args):
 def cmd_compare(args):
     # absence of dominance is a scientific outcome, not a failure;
     # sub-run failures surface as SimulationError and exit 2
-    reg = _apply_overrides(load_config(args.config), args)
-    cha = _apply_overrides(load_config(args.config_chaotic), args)
-    record = compare_command(reg, cha, args.out)
+    record = compare_command(_load(args), _load(args, "config_chaotic"),
+                             args.out)
     print(f"comparison directory: {record.path}")
     print(json.dumps(record.results, indent=2, sort_keys=True))
     return 0
@@ -136,7 +130,7 @@ def cmd_fit(args):
             raise ConfigError([f"{args.csv}: {exc}"]) from None
         fit = classify_scaling(series, window)
     else:
-        *_, fit, _ = _classical_pair(_load(args), window)
+        fit = _classical_pair(_load(args), window).fit
         if fit is None:
             raise SimulationError("no growth-law fit of the divergence "
                                   "series in the fit window")
@@ -158,37 +152,42 @@ def build_parser():
                     "with orbit-stability diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, out=None, seed=False, engine=False, config_required=True):
+        # --config, and --out (with help ``out``), --seed and --engine
+        # where the command uses them
         p.add_argument("--config", required=config_required,
                        help="experiment config file (YAML)")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default from "
-                            f"${OUTPUT_ROOT_ENV} or ./runs)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--engine", default=None,
-                       choices=["classical", "quantum", "both"],
-                       help="override the config engine")
+        if out is not None:
+            p.add_argument("--out", default=None, help=out)
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
+        if engine:
+            p.add_argument("--engine", default=None,
+                           choices=["classical", "quantum", "both"],
+                           help="override the config engine")
+
+    run_root = f"output directory (default from ${OUTPUT_ROOT_ENV} or ./runs)"
 
     p = sub.add_parser("validate-config", help="check a config file")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_validate_config)
 
     p = sub.add_parser("propagate", help="classical trajectory CSV")
-    common(p)
+    common(p, "output CSV file (default trajectory.csv)")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("lyapunov", help="maximum Lyapunov exponent")
-    common(p)
+    common(p, "output CSV file (default lyapunov.csv)", seed=True)
     p.set_defaults(func=cmd_lyapunov)
 
     p = sub.add_parser("decohere", help="full single-system experiment")
-    common(p)
+    common(p, run_root, seed=True, engine=True)
     p.set_defaults(func=cmd_decohere)
 
     p = sub.add_parser("compare",
                        help="regular versus chaotic paired experiment")
-    common(p)
+    common(p, run_root, seed=True, engine=True)
     p.add_argument("--config-chaotic", required=True,
                    help="config of the chaotic partner run")
     p.set_defaults(func=cmd_compare)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
+from .models import _finite_real
 from .series import (DecoherenceSeries, DriveDifference, ExpectationSeries,
                      cumulative_trapezoid, uniform_dt)
 
@@ -96,8 +97,10 @@ class HartreeErrorEstimate:
 def hartree_error(varseries: ExpectationSeries, coupling: float,
                   omega_max: float, t_eval: float) -> HartreeErrorEstimate:
     """Weighted time average of the position variances up to t_eval."""
-    if not (coupling > 0 and omega_max > 0):
-        raise DomainError("coupling and omega_max must be positive")
+    if not (all(map(_finite_real, (coupling, omega_max, t_eval)))
+            and coupling > 0 and omega_max > 0):
+        raise DomainError("coupling and omega_max must be positive finite "
+                          "numbers and t_eval a finite number")
     t = varseries.t
     if t_eval <= t[0] or t_eval > t[-1] * (1 + 1e-12):
         raise DomainError(

@@ -423,41 +423,49 @@ class RunRecord:
     error: dict | None = None
 
 
-def _run_dir(root, slug):
-    """Create <root>/<utc-timestamp>-<slug>; root falls back to
-    $DECOCHAOS_RUNS, then ./runs."""
-    root = root or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
-    stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S.%f")
-    path = os.path.join(root, f"{stamp}-{slug}")
-    os.makedirs(path, exist_ok=False)
-    return path
+class _RunDir:
+    """A run directory, <root>/<utc-timestamp>-<slug>, and the files,
+    results and checks a run puts in it; ``record`` is the one writer of
+    its record.json. root falls back to $DECOCHAOS_RUNS, then ./runs;
+    the wall clock starts at ``started``, else now."""
 
+    def __init__(self, root, slug, started=None):
+        self.started = time.perf_counter() if started is None else started
+        root = root or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
+        stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S.%f")
+        self.path = os.path.join(root, f"{stamp}-{slug}")
+        os.makedirs(self.path, exist_ok=False)
+        self.files, self.results, self.checks = [], {}, {}
 
-def _write_record(rundir, started, config, files, results, checks,
-                  error=None) -> RunRecord:
-    """Checksum files into a manifest and write rundir/record.json."""
-    record = RunRecord(
-        path=rundir, config=config,
-        manifest={os.path.relpath(p, rundir): _sha256(p) for p in files},
-        results=_json_safe(results), checks=_json_safe(checks), error=error)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
-        "python_version": platform.python_version(),
-        "numpy_version": np.__version__,
-        "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "wall_clock_seconds": time.perf_counter() - started,
-        "config": record.config,
-        "manifest": record.manifest,
-        "results": record.results,
-        "checks": record.checks,
-        "error": record.error,
-    }
-    with open(os.path.join(rundir, "record.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return record
+    def csv(self, name, header, columns):
+        write_csv(os.path.join(self.path, name), header, columns)
+        self.files.append(name)
+
+    def check(self, name, value, bound, passed):
+        self.checks[name] = {"value": value, "bound": bound, "pass": passed}
+
+    def record(self, config, error=None) -> RunRecord:
+        """Checksum the files into a manifest and write record.json."""
+        record = RunRecord(
+            path=self.path, config=config,
+            manifest={name: _sha256(os.path.join(self.path, name))
+                      for name in self.files},
+            results=_json_safe(self.results), checks=_json_safe(self.checks),
+            error=error)
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "package_version": __version__,
+            "python_version": platform.python_version(),
+            "numpy_version": np.__version__,
+            "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+            "wall_clock_seconds": time.perf_counter() - self.started,
+            **{k: v for k, v in vars(record).items() if k != "path"},
+        }
+        with open(os.path.join(self.path, "record.json"), "w",
+                  encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return record
 
 
 def _fit_to_dict(fit):
@@ -474,7 +482,24 @@ def _fit_to_dict(fit):
     return out
 
 
-def _classical_pair(config, window=None):
+@dataclass
+class _OrbitPair:
+    """The chosen start z0 of a run, its orbit and displaced partner, and
+    what the run derives from them."""
+
+    model: object
+    z0: PhasePoint
+    traj: object
+    traj2: object
+    diam: float
+    delta: tuple
+    div: object
+    sat: float | None
+    fit: object
+    attempts: list
+
+
+def _classical_pair(config, window=None) -> _OrbitPair:
     """The orbit pair of the first start, among initial.z and its
     alternates, whose growth-law fit expected_scaling does not flag (the
     last start if every one is flagged), and that fit.
@@ -482,8 +507,7 @@ def _classical_pair(config, window=None):
     A flagged start is likely too close to a periodic orbit. The fit
     window is ``window``, else fit.window, else [t_end/4, t_end] with
     t_end the saturation time or the run's end; a FitError means no fit
-    (None). Returns (model, z0, traj, traj2, diam, delta, div,
-    saturation, fit, attempts).
+    (None).
     """
     model = config.model.build()
     integ = config.integrator
@@ -517,63 +541,53 @@ def _classical_pair(config, window=None):
                          "flagged": flagged})
         if not flagged:
             break
-    return model, z0, traj, traj2, diam, delta, div, sat, fit, attempts
+    return _OrbitPair(model, z0, traj, traj2, diam, delta, div, sat, fit,
+                      attempts)
 
 
-def _classical_stage(config, rundir, results, checks, files):
-    (model, z0, traj, traj2, diam, delta, div, sat, fit,
-     attempts) = _classical_pair(config)
+def _classical_stage(config, run, pair):
+    """Record the pair's orbit, divergence, fit and energy drift, and the
+    Lyapunov estimate if configured; return the pair's drive difference."""
     integ = config.integrator
-    results["attempts"] = attempts
-    results["initial_z"] = [z0.qx, z0.qy, z0.px, z0.py]
-    results["initial_energy"] = model.total_energy(z0)
-    results["shell_diameter"] = diam
-    results["delta_z"] = list(delta)
-    results["saturation_time"] = sat
-    results["divergence_fit"] = _fit_to_dict(fit)
-    if config.fit.expected_scaling is not None:
-        checks["expected_scaling"] = {
-            "value": None if fit is None else fit.kind,
-            "bound": config.fit.expected_scaling,
-            "pass": fit is not None and fit.kind == config.fit.expected_scaling,
-        }
+    z0, traj, div, fit = pair.z0, pair.traj, pair.div, pair.fit
+    run.results.update(
+        attempts=pair.attempts, initial_z=[z0.qx, z0.qy, z0.px, z0.py],
+        initial_energy=pair.model.total_energy(z0),
+        shell_diameter=pair.diam, delta_z=list(pair.delta),
+        saturation_time=pair.sat, divergence_fit=_fit_to_dict(fit))
+    expected = config.fit.expected_scaling
+    if expected is not None:
+        run.check("expected_scaling", None if fit is None else fit.kind,
+                  expected, fit is not None and fit.kind == expected)
 
-    path = os.path.join(rundir, "trajectory.csv")
-    write_csv(path, ["t", "qx", "qy", "px", "py", "energy"],
-              [traj.t, traj.z[:, 0], traj.z[:, 1], traj.z[:, 2],
-               traj.z[:, 3], traj.energy])
-    files.append(path)
-    path = os.path.join(rundir, "divergence.csv")
-    write_csv(path, ["t", "D", "separation", "energy_drift"],
-              [div.t, div.D, div.separation, div.energy_drift])
-    files.append(path)
+    run.csv("trajectory.csv", ["t", "qx", "qy", "px", "py", "energy"],
+            [traj.t, traj.z[:, 0], traj.z[:, 1], traj.z[:, 2], traj.z[:, 3],
+             traj.energy])
+    run.csv("divergence.csv", ["t", "D", "separation", "energy_drift"],
+            [div.t, div.D, div.separation, div.energy_drift])
 
     drift = traj.energy_drift()
-    results["energy_drift"] = drift
-    checks["energy_drift"] = {"value": drift,
-                              "bound": integ.energy_drift_bound,
-                              "pass": drift <= integ.energy_drift_bound}
+    run.results["energy_drift"] = drift
+    run.check("energy_drift", drift, integ.energy_drift_bound,
+              drift <= integ.energy_drift_bound)
 
     if config.lyapunov is not None:
-        lyap_dt = config.lyapunov.dt or integ.dt
-        est = max_lyapunov(model, z0, lyap_dt, config.lyapunov.total_time,
+        est = max_lyapunov(pair.model, z0, config.lyapunov.dt or integ.dt,
+                           config.lyapunov.total_time,
                            config.lyapunov.renorm_interval, config.seed,
                            integ.escape_radius)
-        results["lyapunov"] = {
+        run.results["lyapunov"] = {
             "lambda_max": est.lambda_max,
             "renorm_interval": est.renorm_interval,
             "total_time": est.total_time,
         }
-        path = os.path.join(rundir, "lyapunov.csv")
-        write_csv(path, ["t", "lambda_running"],
-                  [est.convergence[:, 0], est.convergence[:, 1]])
-        files.append(path)
+        run.csv("lyapunov.csv", ["t", "lambda_running"],
+                [est.convergence[:, 0], est.convergence[:, 1]])
 
-    dd = DriveDifference.from_trajectories(traj, traj2)
-    return model, z0, traj, diam, dd
+    return DriveDifference.from_trajectories(traj, pair.traj2)
 
 
-def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
+def _gamma_stage(config, run, dd, engine_label):
     if config.bath is None:
         return None
     bath_cfg = config.bath
@@ -584,14 +598,13 @@ def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
         bath = discretize_bath(sd, bath_cfg.n_modes)
         oracle = decoherence_exponent_oracle(bath, dd, bath_cfg.temperature)
 
-    path = os.path.join(rundir, f"decoherence_{engine_label}.csv")
     columns = {"t": gamma.t, "gamma_asymptotic": gamma.gamma}
     if oracle is not None:
         columns["gamma_oracle"] = oracle.gamma
-    write_csv(path, list(columns), list(columns.values()))
-    files.append(path)
+    run.csv(f"decoherence_{engine_label}.csv", list(columns),
+            list(columns.values()))
 
-    results.setdefault("gamma", {})[engine_label] = {
+    summary = run.results.setdefault("gamma", {})[engine_label] = {
         "final_t": float(gamma.t[-1]),
         "gamma_asymptotic_final": float(gamma.gamma[-1]),
         "gamma_oracle_final": None if oracle is None
@@ -599,52 +612,46 @@ def _gamma_stage(config, rundir, results, checks, files, dd, engine_label):
     }
     if oracle is not None and gamma.gamma[-1] > 0:
         rel = abs(oracle.gamma[-1] - gamma.gamma[-1]) / gamma.gamma[-1]
-        results["gamma"][engine_label]["oracle_rel_diff"] = rel
-        checks[f"oracle_vs_asymptotic_{engine_label}"] = {
-            "value": rel, "bound": ORACLE_TOLERANCE,
-            "pass": rel <= ORACLE_TOLERANCE}
+        summary["oracle_rel_diff"] = rel
+        run.check(f"oracle_vs_asymptotic_{engine_label}", rel,
+                  ORACLE_TOLERANCE, rel <= ORACLE_TOLERANCE)
     return gamma
 
 
-def _quantum_stage(config, rundir, results, checks, files, model, z0, traj,
-                   diam, delta):
+def _quantum_stage(config, run, pair):
     spec = config.grid
     grid = Grid2D(spec.nx, spec.ny, spec.lx, spec.ly, spec.hbar_eff)
     integ = config.integrator
-    z1 = z0
-    z2 = z0 + PhasePoint(*delta)
     series = {}
-    for tag, z in (("z1", z1), ("z2", z2)):
+    for tag, z in (("z1", pair.z0), ("z2", pair.z0 + PhasePoint(*pair.delta))):
         state = init_gaussian(grid, z, spec.widths)
         exp_series, final = propagate_wavepacket(
-            state, model, integ.dt, integ.n_steps, spec.sample_every)
+            state, pair.model, integ.dt, integ.n_steps, spec.sample_every)
         series[tag] = exp_series
-        path = os.path.join(rundir, f"expectations_{tag}.csv")
-        write_csv(path, ["t", "mean_qx", "mean_qy", "var_qx", "var_qy"],
-                  [exp_series.t, exp_series.mean_q[:, 0],
-                   exp_series.mean_q[:, 1], exp_series.var_q[:, 0],
-                   exp_series.var_q[:, 1]])
-        files.append(path)
+        run.csv(f"expectations_{tag}.csv",
+                ["t", "mean_qx", "mean_qy", "var_qx", "var_qy"],
+                [exp_series.t, exp_series.mean_q[:, 0],
+                 exp_series.mean_q[:, 1], exp_series.var_q[:, 0],
+                 exp_series.var_q[:, 1]])
         if spec.save_snapshots:
-            snap = os.path.join(rundir, f"psi_{tag}.bin")
-            save_wavepacket(final, snap)
-            files.extend([snap, snap + ".hdr"])
+            snap = f"psi_{tag}.bin"
+            save_wavepacket(final, os.path.join(run.path, snap))
+            run.files.extend([snap, snap + ".hdr"])
 
     threshold = config.ehrenfest.threshold
     if threshold is None:
-        threshold = DEFAULT_THRESHOLD_FRACTION * diam
-    t_break = ehrenfest_break_time(series["z1"], traj, threshold)
-    results["ehrenfest_break_time"] = t_break
-    results["ehrenfest_threshold"] = threshold
+        threshold = DEFAULT_THRESHOLD_FRACTION * pair.diam
+    t_break = ehrenfest_break_time(series["z1"], pair.traj, threshold)
+    run.results["ehrenfest_break_time"] = t_break
+    run.results["ehrenfest_threshold"] = threshold
 
     if config.bath is not None:
         est = hartree_error(series["z1"], config.bath.coupling,
                             config.bath.omega_max, float(series["z1"].t[-1]))
-        results["hartree_error"] = {"t": est.t, "value": est.value,
-                                    "omega_max": est.omega_max,
-                                    "warning": est.warning}
-    dd_q = DriveDifference.from_expectations(series["z1"], series["z2"])
-    return dd_q
+        run.results["hartree_error"] = {"t": est.t, "value": est.value,
+                                        "omega_max": est.omega_max,
+                                        "warning": est.warning}
+    return DriveDifference.from_expectations(series["z1"], series["z2"])
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
@@ -659,38 +666,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
 def _run(config, out_dir):
     """run_experiment, plus the classical asymptotic exponent it holds in
     memory (None if not computed)."""
-    started = time.perf_counter()
-    rundir = _run_dir(out_dir or config.output_dir,
-                      config.slug or f"{config.model.family}-{config.engine}")
-    files = []
-    results = {}
-    checks = {}
-    error = None
-    gamma = None
+    run = _RunDir(out_dir or config.output_dir,
+                  config.slug or f"{config.model.family}-{config.engine}")
+    error = gamma = None
 
-    snapshot_path = os.path.join(rundir, "config.snapshot")
-    with open(snapshot_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(run.path, "config.snapshot"), "w",
+              encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
-    files.append(snapshot_path)
+    run.files.append("config.snapshot")
 
     try:
-        model, z0, traj, diam, dd = _classical_stage(
-            config, rundir, results, checks, files)
-        delta = results["delta_z"]
+        pair = _classical_pair(config)
+        dd = _classical_stage(config, run, pair)
+        pair.traj2 = pair.div = None    # spent; freed before the oracle
         if config.engine in ("classical", "both"):
-            gamma = _gamma_stage(config, rundir, results, checks, files, dd,
-                                 "classical")
+            gamma = _gamma_stage(config, run, dd, "classical")
         if config.engine in ("quantum", "both"):
-            dd_q = _quantum_stage(config, rundir, results, checks, files,
-                                  model, z0, traj, diam, delta)
-            _gamma_stage(config, rundir, results, checks, files, dd_q,
+            _gamma_stage(config, run, _quantum_stage(config, run, pair),
                          "quantum")
     except (SimulationError, MemoryError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-
-    record = _write_record(rundir, started, config.to_dict(), files, results,
-                           checks, error)
-    return record, gamma
+    return run.record(config.to_dict(), error), gamma
 
 
 def compare_command(config_regular: ExperimentConfig,
@@ -752,34 +748,18 @@ def compare_command(config_regular: ExperimentConfig,
     comparison = compare_regimes(reg, cha, reg.gamma.t)
 
     # comparison artifacts live in their own run directory
-    rundir = _run_dir(out_dir or config_chaotic.output_dir, "compare")
-    files = []
-    path = os.path.join(rundir, "gamma_ratio.csv")
-    write_csv(path, ["t", "ratio"], [comparison.t, comparison.ratio])
-    files.append(path)
-
-    report.update({
-        "dominates": comparison.dominates,
-        "t_star": comparison.t_star,
-        "within_ehrenfest": comparison.within_ehrenfest,
-        "ehrenfest_windows": {"regular": config_regular.ehrenfest.t_max,
-                              "chaotic": config_chaotic.ehrenfest.t_max},
-    })
-    path = os.path.join(rundir, "comparison.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    files.append(path)
-
-    checks = {
-        "dominance": {"value": comparison.dominates, "bound": True,
-                      "pass": bool(comparison.dominates)},
-        "t_star_within_ehrenfest": {
-            "value": comparison.t_star, "bound":
-            report["ehrenfest_windows"], "pass":
-            bool(comparison.within_ehrenfest)},
-    }
-    return _write_record(rundir, started,
-                         {"regular": config_regular.to_dict(),
-                          "chaotic": config_chaotic.to_dict()},
-                         files, report, checks)
+    run = _RunDir(out_dir or config_chaotic.output_dir, "compare", started)
+    run.csv("gamma_ratio.csv", ["t", "ratio"],
+            [comparison.t, comparison.ratio])
+    windows = {"regular": config_regular.ehrenfest.t_max,
+               "chaotic": config_chaotic.ehrenfest.t_max}
+    run.results.update(report, dominates=comparison.dominates,
+                       t_star=comparison.t_star,
+                       within_ehrenfest=comparison.within_ehrenfest,
+                       ehrenfest_windows=windows)
+    run.check("dominance", comparison.dominates, True,
+              bool(comparison.dominates))
+    run.check("t_star_within_ehrenfest", comparison.t_star, windows,
+              bool(comparison.within_ehrenfest))
+    return run.record({"regular": config_regular.to_dict(),
+                       "chaotic": config_chaotic.to_dict()})

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (BoundaryLeakError, DomainError, GridError,
                      GridMismatchError, NormDriftError)
 from .models import HamiltonianModel, PhasePoint, _finite_real
-from .series import ExpectationSeries, Trajectory
+from .series import ExpectationSeries, Trajectory, _check_step
 
 __all__ = [
     "Grid2D",
@@ -183,10 +183,7 @@ def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
     (ExpectationSeries, WavepacketState)
         The sampled moments and the final state.
     """
-    if not (dt > 0 and math.isfinite(dt)):
-        raise DomainError("dt must be positive finite")
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise DomainError("n_steps must be an integer >= 1")
+    _check_step(dt, n_steps)
     if not (isinstance(sample_every, int) and sample_every >= 1
             and n_steps % sample_every == 0):
         raise DomainError("sample_every must divide n_steps")

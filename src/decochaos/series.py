@@ -1,6 +1,7 @@
 """Uniformly sampled time series shared by the simulation modules."""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,17 @@ def same_grid(ta: np.ndarray, tb: np.ndarray) -> None:
     if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=_GRID_RTOL,
                                                atol=1e-12):
         raise GridMismatchError("series are sampled on different time grids")
+
+
+def _check_step(dt, n_steps):
+    """The integrators' step rule: dt a positive finite number and
+    n_steps an integer >= 1; a bool is not a number."""
+    if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)
+            and 0 < dt <= sys.float_info.max):
+        raise DomainError(f"dt must be a positive finite number, got {dt!r}")
+    if not (isinstance(n_steps, int) and not isinstance(n_steps, bool)
+            and n_steps >= 1):
+        raise DomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
 
 def cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:

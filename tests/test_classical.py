@@ -68,6 +68,17 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(model, z, 0.1, 0)
 
+    @pytest.mark.parametrize("dt, n_steps", [
+        (True, 10), (0.1, True), (True, True), (float("nan"), 10),
+        (float("inf"), 10), (10 ** 400, 10), (0.1, 10.0)],
+        ids=["bool-dt", "bool-n", "bools", "nan-dt", "inf-dt", "huge-dt",
+             "float-n"])
+    def test_step_rule(self, dt, n_steps):
+        # a bool is not a number, so it is neither a step nor a count
+        with pytest.raises(DomainError):
+            propagate(Harmonic2D(1.0, 1.0), PhasePoint(1.0, 0.0, 0.0, 0.0),
+                      dt, n_steps)
+
 
 def tangent_series(model, z0, v0, dt, n_steps):
     """Tangent vector v0 carried along the orbit through z0, one row per
@@ -177,6 +188,18 @@ class TestMaxLyapunov:
         with pytest.raises(DomainError):
             max_lyapunov(Harmonic2D(1, 1), PhasePoint(1, 0, 0, 0),
                          0.1, 10.0, 5.0, seed=1)
+
+    @pytest.mark.parametrize("dt, total_time, renorm_interval", [
+        (0.01, float("inf"), 1.0), (0.01, 100.0, float("nan")),
+        (0.01, float("inf"), float("inf")), (0.01, 10 ** 400, 1.0),
+        (True, 100.0, 1.0), (0.01, 100.0, True)],
+        ids=["inf-total", "nan-renorm", "inf-both", "huge-total", "bool-dt",
+             "bool-renorm"])
+    def test_non_finite_times_rejected(self, dt, total_time,
+                                       renorm_interval):
+        with pytest.raises(DomainError):
+            max_lyapunov(Harmonic2D(1, 1), PhasePoint(1, 0, 0, 0), dt,
+                         total_time, renorm_interval, seed=1)
 
 
 class TestDivergenceIntegral:

@@ -168,6 +168,15 @@ class TestHartreeError:
         with pytest.raises(DomainError):
             hartree_error(self.constant_series(t_eval=5.0), 1.0, 5.0, 10.0)
 
+    @pytest.mark.parametrize("coupling, omega_max, t_eval", [
+        (float("inf"), 5.0, 10.0), (1.0, float("inf"), 10.0),
+        (1.0, 5.0, float("nan"))])
+    def test_non_finite_arguments_rejected(self, coupling, omega_max,
+                                           t_eval):
+        with pytest.raises(DomainError):
+            hartree_error(self.constant_series(), coupling, omega_max,
+                          t_eval)
+
 
 def synthetic_gamma(t, values):
     return DecoherenceSeries(t, values, source="oracle")

@@ -380,6 +380,20 @@ class TestCompareCommand:
                 if r.split(",")[1] != "nan"]
         assert all(abs(v - 1.0) < 1e-12 for v in vals)
 
+    def test_compare_writes_ratio_csv_and_record_only(self, tmp_path):
+        # the comparison's results live in record.json alone; its one
+        # other file is the ratio series
+        cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
+        record = compare_command(cfg, cfg, str(tmp_path / "runs"))
+        assert set(record.manifest) == {"gamma_ratio.csv"}
+        assert sorted(os.listdir(record.path)) == ["gamma_ratio.csv",
+                                                   "record.json"]
+        with open(os.path.join(record.path, "record.json")) as fh:
+            results = json.load(fh)["results"]
+        assert results == record.results
+        assert {"regular_fit", "chaotic_fit", "t_star", "dominates",
+                "within_ehrenfest", "ehrenfest_windows"} <= set(results)
+
     def test_in_memory_compare_matches_the_csv_path(self, tmp_path):
         # compare builds both sides from the sub-runs' series in memory;
         # rebuilt from their CSVs (17 digits round-trip a float64) the
@@ -727,6 +741,18 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "lambda_max" in printed
         assert open(out_csv).readline().strip() == "t,lambda_running"
+
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--seed", "1"], ["propagate", "--engine", "both"],
+        ["lyapunov", "--engine", "both"], ["fit", "--seed", "1"],
+        ["fit", "--engine", "both"], ["fit", "--out", "x"]])
+    def test_options_a_command_ignores_are_errors(self, tmp_path, argv,
+                                                  capsys):
+        path = write_yaml(tmp_path, SMALL_RUN)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--config", path])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_compare_command_cli(self, tmp_path, capsys):
         path = write_yaml(tmp_path, SMALL_RUN)

@@ -177,6 +177,14 @@ class TestPropagation:
             propagate_wavepacket(state, Harmonic2D(1, 1), 1e-3, 100,
                                  sample_every=7)
 
+    @pytest.mark.parametrize("dt, n_steps", [
+        (True, 10), (1e-3, True), (float("nan"), 10), (float("inf"), 10),
+        (-1e-3, 10), (1e-3, 0)])
+    def test_step_rule(self, grid64, dt, n_steps):
+        state = init_gaussian(grid64, PhasePoint(0, 0, 0, 0), (0.5, 0.5))
+        with pytest.raises(DomainError):
+            propagate_wavepacket(state, Harmonic2D(1, 1), dt, n_steps)
+
     def test_norm_drift_detected(self, grid64):
         from decochaos.errors import NormDriftError
         from decochaos.quantum import WavepacketState
