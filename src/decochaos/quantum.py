@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (BoundaryLeakError, DomainError, GridError,
                      GridMismatchError, NormDriftError)
 from .models import HamiltonianModel, PhasePoint, _finite_real
-from .series import ExpectationSeries, Trajectory, _check_step
+from .series import ExpectationSeries, Trajectory, _check_count, _check_step
 
 __all__ = [
     "Grid2D",
@@ -184,13 +184,15 @@ def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
         The sampled moments and the final state.
     """
     _check_step(dt, n_steps)
-    if not (isinstance(sample_every, int) and sample_every >= 1
-            and n_steps % sample_every == 0):
+    _check_count("sample_every", sample_every)
+    if n_steps % sample_every:
         raise DomainError("sample_every must divide n_steps")
     grid = state.grid
     hbar = grid.hbar
-    V = model.potential_xy(grid.X, grid.Y)
-    half_v = np.exp(-0.5j * dt * V / hbar)
+    # exp(-0.5j * dt * V / hbar), built in place in one complex array
+    half_v = -0.5j * dt * model.potential_xy(grid.X, grid.Y)
+    half_v /= hbar
+    np.exp(half_v, out=half_v)
     kinetic = np.exp(-0.5j * dt * hbar * grid.k2 / model.mass)
 
     n_samples = n_steps // sample_every + 1
@@ -225,8 +227,11 @@ def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
 
     record(0)
     for step in range(1, n_steps + 1):
+        # ifft2 gets no out=: on numpy 2.4 it returns wrong values with one
         psi *= half_v
-        psi = np.fft.ifft2(kinetic * np.fft.fft2(psi))
+        np.fft.fft2(psi, out=psi)
+        psi *= kinetic
+        psi = np.fft.ifft2(psi)
         psi *= half_v
         if step % sample_every == 0:
             record(step // sample_every)

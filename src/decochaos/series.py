@@ -39,15 +39,20 @@ def same_grid(ta: np.ndarray, tb: np.ndarray) -> None:
         raise GridMismatchError("series are sampled on different time grids")
 
 
+def _check_count(name, n):
+    """The integrators' count rule: an integer >= 1; a bool is not a
+    number."""
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+
+
 def _check_step(dt, n_steps):
     """The integrators' step rule: dt a positive finite number and
-    n_steps an integer >= 1; a bool is not a number."""
+    n_steps a count (_check_count)."""
     if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)
             and 0 < dt <= sys.float_info.max):
         raise DomainError(f"dt must be a positive finite number, got {dt!r}")
-    if not (isinstance(n_steps, int) and not isinstance(n_steps, bool)
-            and n_steps >= 1):
-        raise DomainError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    _check_count("n_steps", n_steps)
 
 
 def cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:

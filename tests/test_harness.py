@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 from decochaos import classical, decoherence, harness
 from decochaos.cli import main as cli_main
 from decochaos.decoherence import RegimeRun, compare_regimes
-from decochaos.errors import ConfigError, DomainError
+from decochaos.errors import BoundaryLeakError, ConfigError, DomainError
 from decochaos.harness import (ExperimentConfig, _parse_config,
                                compare_command, load_config, run_experiment,
                                write_csv)
+from decochaos.models import PhasePoint
+from decochaos.quantum import Grid2D, init_gaussian, propagate_wavepacket
 from decochaos.series import DecoherenceSeries
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -44,6 +46,14 @@ SMALL_RUN = {
     "bath": {"coupling": 1.0, "omega_max": 10.0, "temperature": 1000.0,
              "n_modes": 500},
 }
+
+
+# a short engine: both run on a 64^2 grid
+BOTH_RUN = {**SMALL_RUN, "engine": "both",
+            "integrator": {"dt": 0.002, "n_steps": 600},
+            "grid": {"nx": 64, "ny": 64, "lx": 12.0, "ly": 12.0,
+                     "hbar_eff": 1.0, "widths": [0.7, 0.7],
+                     "sample_every": 10}}
 
 
 def short_shipped_pair():
@@ -231,6 +241,54 @@ class TestRunExperiment:
             g["classical"]["gamma_asymptotic_final"], rel=1e-4)
         assert record.results["ehrenfest_break_time"] is None
         assert record.results["hartree_error"]["value"] > 0
+
+    def test_packets_match_sequential_propagation(self, tmp_path):
+        cfg = load_config(write_yaml(tmp_path, BOTH_RUN))
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error is None
+        spec = cfg.grid
+        grid = Grid2D(spec.nx, spec.ny, spec.lx, spec.ly, spec.hbar_eff)
+        z1 = PhasePoint(*cfg.initial.z)
+        z2 = z1 + PhasePoint(*cfg.initial.delta_z)
+        for tag, z in (("z1", z1), ("z2", z2)):
+            series, _ = propagate_wavepacket(
+                init_gaussian(grid, z, spec.widths), cfg.model.build(),
+                cfg.integrator.dt, cfg.integrator.n_steps, spec.sample_every)
+            written = read_columns(os.path.join(
+                record.path, f"expectations_{tag}.csv"),
+                "t", "mean_qx", "mean_qy", "var_qx", "var_qy")
+            direct = [series.t, *series.mean_q.T, *series.var_q.T]
+            for got, want in zip(written, direct):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("failing", ["z1", "z2"])
+    def test_packet_failure_is_recorded_in_packet_order(
+            self, tmp_path, monkeypatch, failing):
+        path = write_yaml(tmp_path, BOTH_RUN)
+        cfg = load_config(path)
+        spec = cfg.grid
+        z1 = PhasePoint(*cfg.initial.z)
+        z = z1 if failing == "z1" else z1 + PhasePoint(*cfg.initial.delta_z)
+        real = harness.propagate_wavepacket
+
+        def leaky(state, *args):
+            if np.array_equal(state.psi,
+                              init_gaussian(state.grid, z, spec.widths).psi):
+                raise BoundaryLeakError(f"{failing} leaks")
+            return real(state, *args)
+
+        monkeypatch.setattr(harness, "propagate_wavepacket", leaky)
+        root = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(root)]) == 2
+        [run_dir] = root.iterdir()
+        payload = json.loads((run_dir / "record.json").read_text())
+        assert payload["error"] == {"type": "BoundaryLeakError",
+                                    "message": f"{failing} leaks"}
+        written = {"expectations_z1.csv", "expectations_z2.csv"} & set(
+            payload["manifest"])
+        assert written == ({"expectations_z1.csv"} if failing == "z2"
+                           else set())
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         from decochaos.harness import OUTPUT_ROOT_ENV

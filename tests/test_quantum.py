@@ -171,11 +171,35 @@ class TestPropagation:
             propagate_wavepacket(state, SeparableQuartic(0.0, 0.0), 0.05,
                                  200, sample_every=10)
 
-    def test_sampling_validation(self, grid64):
+    @pytest.mark.parametrize("sample_every", [True, 0, 2.0, 7],
+                             ids=["bool", "zero", "float", "non-divisor"])
+    def test_sampling_validation(self, grid64, sample_every):
         state = init_gaussian(grid64, PhasePoint(0, 0, 0, 0), (0.5, 0.5))
         with pytest.raises(DomainError):
             propagate_wavepacket(state, Harmonic2D(1, 1), 1e-3, 100,
-                                 sample_every=7)
+                                 sample_every=sample_every)
+
+    @pytest.mark.parametrize("track_momentum", [False, True])
+    def test_split_step_matches_the_plain_loop(self, grid64, track_momentum):
+        # the in-place step must give the same bits as the plain one. The
+        # FFT is the left operand of the kinetic product, as numpy's
+        # temporary elision made it in `kinetic * fft2(psi)` on grids of
+        # 128^2 and up; numpy's complex product is not bitwise commutative.
+        model = PullenEdmonds(1.0)
+        state = init_gaussian(grid64, PhasePoint(0.5, -0.3, 0.8, 0.4),
+                              (0.5, 0.5))
+        dt, n = 0.01, 40
+        _, final = propagate_wavepacket(state, model, dt, n, sample_every=5,
+                                        track_momentum=track_momentum)
+        half_v = np.exp(-0.5j * dt * model.potential_xy(grid64.X, grid64.Y)
+                        / grid64.hbar)
+        kinetic = np.exp(-0.5j * dt * grid64.hbar * grid64.k2 / model.mass)
+        psi = state.psi.copy()
+        for _ in range(n):
+            psi *= half_v
+            psi = np.fft.ifft2(np.fft.fft2(psi) * kinetic)
+            psi *= half_v
+        assert np.array_equal(final.psi, psi)
 
     @pytest.mark.parametrize("dt, n_steps", [
         (True, 10), (1e-3, True), (float("nan"), 10), (float("inf"), 10),
