@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import DecoherenceSeries, DriveDifference, uniform_dt
+from .series import (DecoherenceSeries, DriveDifference, _check_count,
+                     _finite_real, uniform_dt)
 
 __all__ = [
     "SpectralDensity",
@@ -48,10 +49,10 @@ class SpectralDensity:
     omega_max: float
 
     def __post_init__(self):
-        if not (self.coupling > 0 and math.isfinite(self.coupling)):
-            raise DomainError("coupling constant C must be positive")
-        if not (self.omega_max > 0 and math.isfinite(self.omega_max)):
-            raise DomainError("cutoff frequency omega_max must be positive")
+        for name in ("coupling", "omega_max"):
+            value = getattr(self, name)
+            if not (_finite_real(value) and value > 0):
+                raise DomainError(f"{name} must be a positive finite number")
 
     @property
     def max_drive_step(self) -> float:
@@ -104,8 +105,7 @@ class BathDiscretization:
 
 def discretize_bath(sd: SpectralDensity, n_modes: int) -> BathDiscretization:
     """Midpoint rule on (0, omega_max]: w_j = (j - 1/2) omega_max / N."""
-    if not (isinstance(n_modes, int) and n_modes >= 2):
-        raise DomainError(f"need at least 2 bath modes, got {n_modes!r}")
+    _check_count("n_modes", n_modes, 2)
     dw = sd.omega_max / n_modes
     omegas = (np.arange(n_modes) + 0.5) * dw
     weights = spectral_weight(sd, omegas) * dw
@@ -227,7 +227,7 @@ def decoherence_exponent_oracle(bath: BathDiscretization,
     memory. Roundoff negatives of a gamma that returns to zero are
     clamped to 0.
     """
-    if not 0 < temperature < math.inf:
+    if not (_finite_real(temperature) and temperature > 0):
         raise DomainError("temperature must be a positive finite number")
     omega_0, step = _mode_grid(bath.omegas)
     _require_identity()

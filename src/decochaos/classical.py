@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EscapeError, FitError
-from .models import HamiltonianModel, PhasePoint, _finite_real
-from .series import (DivergenceSeries, Trajectory, _check_step,
+from .models import HamiltonianModel, PhasePoint
+from .series import (DivergenceSeries, Trajectory, _check_step, _finite_real,
                      cumulative_trapezoid)
 
 __all__ = [

@@ -13,8 +13,8 @@ import sys
 
 from .classical import classify_scaling, max_lyapunov, propagate
 from .errors import ConfigError, SimulationError
-from .harness import (OUTPUT_ROOT_ENV, compare_command, load_config,
-                      run_experiment, write_csv)
+from .harness import (ENGINES, OUTPUT_ROOT_ENV, compare_command,
+                      load_config, run_experiment, write_csv)
 from .models import PhasePoint
 from .series import DivergenceSeries
 
@@ -163,8 +163,7 @@ def build_parser():
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
         if engine:
-            p.add_argument("--engine", default=None,
-                           choices=["classical", "quantum", "both"],
+            p.add_argument("--engine", default=None, choices=ENGINES,
                            help="override the config engine")
 
     run_root = f"output directory (default from ${OUTPUT_ROOT_ENV} or ./runs)"

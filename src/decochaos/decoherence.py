@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .models import _finite_real
 from .series import (DecoherenceSeries, DriveDifference, ExpectationSeries,
-                     cumulative_trapezoid, uniform_dt)
+                     _finite_real, cumulative_trapezoid, uniform_dt)
 
 __all__ = [
     "asymptotic_exponent",
@@ -40,7 +39,7 @@ def asymptotic_exponent(dd: DriveDifference, coupling: float,
     Non-decreasing by construction and zero exactly when the two drives
     coincide on the grid.
     """
-    if not (0 < coupling < math.inf and 0 < temperature < math.inf):
+    if not all(_finite_real(v) and v > 0 for v in (coupling, temperature)):
         raise DomainError("coupling and temperature must be positive finite "
                           "numbers")
     dt = dd.dt

@@ -18,7 +18,7 @@ import platform
 import sys
 import threading
 import time
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -49,7 +49,6 @@ OUTPUT_ROOT_ENV = "DECOCHAOS_RUNS"
 SCHEMA_VERSION = 1
 ENGINES = ("classical", "quantum", "both")
 ORACLE_TOLERANCE = 0.05
-DEFAULT_DRIFT_BOUND = 1e-6
 DEFAULT_DELTA_SCALE = 1e-6      # |delta_z| as a fraction of shell diameter
 DEFAULT_THRESHOLD_FRACTION = 0.05
 
@@ -64,17 +63,17 @@ def _key(name):
     return name.rpartition(".")[2]
 
 
-def _positive(mapping, name, default=0.0):
+def _positive(mapping, name):
     """mapping[last part of name] as a positive finite float."""
-    value = mapping.get(_key(name), default)
+    value = mapping.get(_key(name))
     if not (_real(value) and value > 0):
         raise ConfigError([f"{name}: must be a positive finite number"])
     return float(value)
 
 
-def _integer(mapping, name, least, default=None):
+def _integer(mapping, name, least):
     """mapping[last part of name] as an integer of at least ``least``."""
-    value = mapping.get(_key(name), default)
+    value = mapping.get(_key(name))
     if not (isinstance(value, int) and not isinstance(value, bool)
             and value >= least):
         raise ConfigError([f"{name}: must be an integer >= {least}"])
@@ -92,13 +91,29 @@ def _count(mapping, name, least):
     return value
 
 
-def _mapping(parent, name, required=False):
-    """parent[last part of name] as a mapping; None if absent and optional."""
-    value = parent.get(_key(name))
-    if isinstance(value, dict) or value is None and not required:
-        return value
-    raise ConfigError([f"{name}: section is mandatory" if value is None
-                       else f"{name}: must be a mapping"])
+def _defaults(spec, value, prefix=""):
+    """The mapping value plus each field of the dataclass spec that it
+    omits and that has a default value; one error per key not a field."""
+    known = {f.name: f.default for f in fields(spec)}
+    unknown = [f"unknown config key {prefix + str(key)!r}"
+               for key in value if key not in known]
+    return {**{k: v for k, v in known.items() if v is not MISSING},
+            **value}, unknown
+
+
+def _mapping(parent, name, spec, required=False):
+    """The config section parent[name] with spec's defaults (_defaults), a
+    required field it omits still absent; None if absent and optional."""
+    value = parent.get(name)
+    if value is None and not required:
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError([f"{name}: section is mandatory" if value is None
+                           else f"{name}: must be a mapping"])
+    value, unknown = _defaults(spec, value, f"{name}.")
+    if unknown:
+        raise ConfigError(unknown)
+    return value
 
 
 def _window(value, name):
@@ -140,7 +155,7 @@ class IntegratorSpec:
     dt: float
     n_steps: int
     escape_radius: float = 1e3
-    energy_drift_bound: float = DEFAULT_DRIFT_BOUND
+    energy_drift_bound: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,8 +171,8 @@ class GridSpec:
     ny: int
     lx: float
     ly: float
-    hbar_eff: float
     widths: tuple
+    hbar_eff: float = 1.0
     sample_every: int = 1
     save_snapshots: bool = False
 
@@ -208,11 +223,6 @@ class ExperimentConfig:
         return _parse_config(data)
 
 
-_KNOWN_KEYS = {"schema_version", "seed", "engine", "model", "initial",
-               "integrator", "lyapunov", "grid", "bath", "fit", "ehrenfest",
-               "output_dir", "slug"}
-
-
 def _parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config mapping, aggregating every violation.
 
@@ -223,8 +233,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError(["config root must be a mapping"])
-    errors = [f"unknown config key {key!r}" for key in data
-              if key not in _KNOWN_KEYS]
+    data, errors = _defaults(ExperimentConfig, data)
 
     @contextlib.contextmanager
     def section(name):
@@ -235,18 +244,18 @@ def _parse_config(data: dict) -> ExperimentConfig:
         except (TypeError, ValueError) as exc:
             errors.append(f"{name}: {exc}")
 
-    version = data.get("schema_version", SCHEMA_VERSION)
+    version = data["schema_version"]
     if version != SCHEMA_VERSION:
         errors.append(f"schema_version {version!r} unsupported; this build "
                       f"reads {SCHEMA_VERSION}")
-    engine = data.get("engine", "classical")
+    engine = data["engine"]
     if engine not in ENGINES:
         errors.append(f"engine: {engine!r} not one of {ENGINES}")
-    slug = data.get("slug")
+    slug = data["slug"]
     if slug is not None and not (isinstance(slug, str) and not any(
             s in slug for s in ("/", "\\", ".."))):
         errors.append("slug: must be a string without '/', '\\' or '..'")
-    output_dir = data.get("output_dir")
+    output_dir = data["output_dir"]
     if output_dir is not None and not isinstance(output_dir, str):
         errors.append("output_dir: must be a path string")
 
@@ -256,37 +265,35 @@ def _parse_config(data: dict) -> ExperimentConfig:
         seed = _integer(data, "seed", 0)
 
     with section("model"):
-        m = _mapping(data, "model", required=True)
-        params = _mapping(m, "model.params") or {}
-        family, mass = m.get("family"), m.get("mass", 1.0)
-        make_model(family, params, mass)
-        model = ModelSpec(family, tuple(sorted(
-            (k, float(v)) for k, v in params.items())), float(mass))
+        m = _mapping(data, "model", ModelSpec, required=True)
+        # a free mapping, whose names and values make_model checks
+        params = {} if m["params"] in ((), None) else m["params"]
+        if not isinstance(params, dict):
+            raise ConfigError(["model.params: must be a mapping"])
+        make_model(m.get("family"), params, m["mass"])
+        model = ModelSpec(m.get("family"), tuple(sorted(
+            (k, float(v)) for k, v in params.items())), float(m["mass"]))
 
     with section("initial"):
-        ini = _mapping(data, "initial", required=True)
-        delta_z = ini.get("delta_z")
+        ini = _mapping(data, "initial", InitialSpec, required=True)
         initial = InitialSpec(
             _point(ini.get("z")),
-            None if delta_z is None else _point(delta_z),
-            tuple(map(_point, ini.get("alternates", ()))))
+            None if ini["delta_z"] is None else _point(ini["delta_z"]),
+            tuple(map(_point, ini["alternates"])))
 
     with section("integrator"):
-        it = _mapping(data, "integrator", required=True)
+        it = _mapping(data, "integrator", IntegratorSpec, required=True)
         integ = IntegratorSpec(
             _positive(it, "integrator.dt"),
             _count(it, "integrator.n_steps", 1),
-            _positive(it, "integrator.escape_radius", 1e3),
-            _positive(it, "integrator.energy_drift_bound",
-                      DEFAULT_DRIFT_BOUND))
+            _positive(it, "integrator.escape_radius"),
+            _positive(it, "integrator.energy_drift_bound"))
 
     with section("lyapunov"):
-        ly = _mapping(data, "lyapunov")
+        ly = _mapping(data, "lyapunov", LyapunovSpec)
         if ly is not None:
-            own_dt = (None if ly.get("dt") is None
-                      else _positive(ly, "lyapunov.dt"))
-            total = ly.get("total_time", 0.0)
-            renorm = ly.get("renorm_interval", 0.0)
+            own_dt = None if ly["dt"] is None else _positive(ly, "lyapunov.dt")
+            total, renorm = ly.get("total_time"), ly.get("renorm_interval")
             step = own_dt or (integ.dt if integ else 0.0)
             if not (_real(total) and _real(renorm)
                     and total >= 10 * renorm >= 100 * step > 0):
@@ -300,33 +307,31 @@ def _parse_config(data: dict) -> ExperimentConfig:
             lyap = LyapunovSpec(float(total), float(renorm), own_dt)
 
     with section("grid"):
-        g = _mapping(data, "grid")
+        g = _mapping(data, "grid", GridSpec)
         if g is None and engine in ("quantum", "both"):
             raise ConfigError(["grid: section is mandatory for quantum "
                                "engines"])
         if g is not None:
-            box = Grid2D(g.get("nx", 0), g.get("ny", 0),
-                         _positive(g, "grid.lx"), _positive(g, "grid.ly"),
-                         _positive(g, "grid.hbar_eff", 1.0))
+            box = Grid2D(g.get("nx"), g.get("ny"), g.get("lx"), g.get("ly"),
+                         g["hbar_eff"])
             widths = box.gaussian_widths(g.get("widths"))
-            every = _integer(g, "grid.sample_every", 1, 1)
+            every = _integer(g, "grid.sample_every", 1)
             if integ and integ.n_steps % every != 0:
                 raise ConfigError(["grid.sample_every: must divide "
                                    "integrator.n_steps"])
-            snapshots = g.get("save_snapshots", False)
-            if not isinstance(snapshots, bool):
+            if not isinstance(g["save_snapshots"], bool):
                 raise ConfigError(["grid.save_snapshots: must be true or "
                                    "false"])
-            grid = GridSpec(box.nx, box.ny, box.lx, box.ly, box.hbar, widths,
-                            every, snapshots)
+            grid = GridSpec(box.nx, box.ny, box.lx, box.ly, widths, box.hbar,
+                            every, g["save_snapshots"])
 
     with section("bath"):
-        b = _mapping(data, "bath")
+        b = _mapping(data, "bath", BathSpec)
         if b is not None:
             sd = SpectralDensity(_positive(b, "bath.coupling"),
                                  _positive(b, "bath.omega_max"))
             temperature = _positive(b, "bath.temperature")
-            n_modes = (None if b.get("n_modes") is None
+            n_modes = (None if b["n_modes"] is None
                        else _count(b, "bath.n_modes", 2))
             if integ is not None:
                 sd.check_drive_step(integ.dt, "integrator.dt")
@@ -338,21 +343,20 @@ def _parse_config(data: dict) -> ExperimentConfig:
             bath = BathSpec(sd.coupling, sd.omega_max, temperature, n_modes)
 
     with section("fit"):
-        f = _mapping(data, "fit")
+        f = _mapping(data, "fit", FitSpec)
         if f is not None:
-            window = f.get("window")
+            window = f["window"]
             window = None if window is None else _window(window, "fit.window")
-            expected = f.get("expected_scaling")
-            if expected not in (None, "power_law", "exponential"):
+            if f["expected_scaling"] not in (None, "power_law", "exponential"):
                 raise ConfigError(["fit.expected_scaling: must be power_law "
                                    "or exponential"])
-            fit = FitSpec(window, expected)
+            fit = FitSpec(window, f["expected_scaling"])
 
     with section("ehrenfest"):
-        e = _mapping(data, "ehrenfest")
+        e = _mapping(data, "ehrenfest", EhrenfestSpec)
         if e is not None:
             ehren = EhrenfestSpec(*(
-                None if e.get(k) is None else _positive(e, f"ehrenfest.{k}")
+                None if e[k] is None else _positive(e, f"ehrenfest.{k}")
                 for k in ("t_max", "threshold")))
 
     if errors:
@@ -360,8 +364,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         seed=seed, model=model, initial=initial, integrator=integ,
         engine=engine, lyapunov=lyap, grid=grid, bath=bath, fit=fit,
-        ehrenfest=ehren, output_dir=output_dir, slug=slug,
-        schema_version=SCHEMA_VERSION)
+        ehrenfest=ehren, output_dir=output_dir, slug=slug)
 
 
 def load_config(path) -> ExperimentConfig:

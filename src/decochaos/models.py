@@ -10,12 +10,12 @@ bookkeeping runs vectorized.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .series import _finite_real
 
 __all__ = [
     "PhasePoint",
@@ -28,12 +28,6 @@ __all__ = [
     "MODEL_FAMILIES",
     "make_model",
 ]
-
-
-def _finite_real(value) -> bool:
-    """An int or float within the float range; a bool is not a number."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

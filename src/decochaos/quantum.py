@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import (BoundaryLeakError, DomainError, GridError,
                      GridMismatchError, NormDriftError)
-from .models import HamiltonianModel, PhasePoint, _finite_real
-from .series import ExpectationSeries, Trajectory, _check_count, _check_step
+from .models import HamiltonianModel, PhasePoint
+from .series import (ExpectationSeries, Trajectory, _check_count, _check_step,
+                     _finite_real)
 
 __all__ = [
     "Grid2D",
@@ -71,10 +72,9 @@ class Grid2D:
         if 16 * nx * ny > sys.maxsize:
             raise GridError(f"a {nx} x {ny} grid of complex amplitudes needs "
                             f"more than {sys.maxsize} bytes")
-        if not all(_finite_real(v) and v > 0 for v in (lx, ly)):
-            raise GridError("box lengths must be positive finite numbers")
-        if not (_finite_real(hbar_eff) and hbar_eff > 0):
-            raise GridError("hbar_eff must be a positive finite number")
+        for name, v in (("lx", lx), ("ly", ly), ("hbar_eff", hbar_eff)):
+            if not (_finite_real(v) and v > 0):
+                raise GridError(f"{name} must be a positive finite number")
         self.nx, self.ny = nx, ny
         self.lx, self.ly = float(lx), float(ly)
         self.hbar = float(hbar_eff)
@@ -249,7 +249,7 @@ def ehrenfest_break_time(qseries: ExpectationSeries, traj: Trajectory,
     crossing time (linearly interpolated between samples) or None if
     the deviation never exceeds threshold in the window.
     """
-    if not (threshold > 0 and math.isfinite(threshold)):
+    if not (_finite_real(threshold) and threshold > 0):
         raise DomainError("threshold must be positive finite")
     tq = qseries.t
     pad = 1e-9 * max(1.0, abs(float(traj.t[-1])))

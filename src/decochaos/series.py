@@ -39,18 +39,23 @@ def same_grid(ta: np.ndarray, tb: np.ndarray) -> None:
         raise GridMismatchError("series are sampled on different time grids")
 
 
-def _check_count(name, n):
-    """The integrators' count rule: an integer >= 1; a bool is not a
+def _finite_real(value) -> bool:
+    """An int or float within the float range; a bool is not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _check_count(name, n, least=1):
+    """The library's count rule: an integer >= least; a bool is not a
     number."""
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {n!r}")
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def _check_step(dt, n_steps):
     """The integrators' step rule: dt a positive finite number and
     n_steps a count (_check_count)."""
-    if not (isinstance(dt, (int, float)) and not isinstance(dt, bool)
-            and 0 < dt <= sys.float_info.max):
+    if not (_finite_real(dt) and dt > 0):
         raise DomainError(f"dt must be a positive finite number, got {dt!r}")
     _check_count("n_steps", n_steps)
 

@@ -61,6 +61,13 @@ class TestSpectralWeight:
         with pytest.raises(DomainError):
             SpectralDensity(1.0, -1.0)
 
+    @pytest.mark.parametrize("value", [True, "1", np.nan, np.inf, 0, -1])
+    @pytest.mark.parametrize("name", ["coupling", "omega_max"])
+    def test_constants_are_positive_finite_numbers(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            SpectralDensity(**{"coupling": 1.0, "omega_max": 10.0,
+                               name: value})
+
 
 class TestDiscretization:
     def test_two_mode_midpoints(self):
@@ -77,6 +84,11 @@ class TestDiscretization:
     def test_too_few_modes(self):
         with pytest.raises(DomainError):
             discretize_bath(SpectralDensity(1.0, 10.0), 1)
+
+    def test_mode_count_rule_is_stated(self):
+        with pytest.raises(DomainError,
+                           match="n_modes must be an integer >= 2"):
+            discretize_bath(SpectralDensity(1.0, 10.0), np.int64(2000))
 
 
 class TestDrivenAmplitude:
@@ -287,7 +299,8 @@ class TestOracle:
         with pytest.raises(DomainError):
             decoherence_exponent_oracle(bath, make_dd(t, np.ones(2001)), 0.0)
 
-    @pytest.mark.parametrize("temperature", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("temperature",
+                             [np.inf, np.nan, -1.0, True, "1", 0])
     def test_non_finite_temperature_rejected(self, temperature):
         bath = discretize_bath(SpectralDensity(1.0, 10.0), 50)
         t = np.linspace(0.0, 5.0, 2001)

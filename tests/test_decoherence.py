@@ -67,7 +67,9 @@ class TestAsymptoticExponent:
             asymptotic_exponent(make_dd(t, np.ones(101)), 1.0, 0.0)
 
     @pytest.mark.parametrize("coupling, temperature", [
-        (1.0, np.inf), (np.inf, 10.0), (1.0, np.nan), (np.nan, 10.0)])
+        (1.0, np.inf), (np.inf, 10.0), (1.0, np.nan), (np.nan, 10.0),
+        *[(v, 10.0) for v in (True, "1", 0, -1)],
+        *[(1.0, v) for v in (True, "1", 0, -1)]])
     def test_non_finite_constants_rejected(self, coupling, temperature):
         t = np.linspace(0.0, 1.0, 101)
         with pytest.raises(DomainError):

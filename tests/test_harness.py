@@ -570,13 +570,42 @@ class TestCli:
                   "temperature": 1000.0}},
         {"ehrenfest": [75.0]},
         {"model": {"family": ["harmonic2d"]}},
+        {"model": {"family": "harmonic2d", "params": []}},
     ], ids=["fit.window-string", "fit-list", "grid.lx-string",
             "lyapunov.total_time-string", "bath.coupling-string",
-            "ehrenfest-list", "model.family-list"])
+            "ehrenfest-list", "model.family-list", "model.params-list"])
     def test_malformed_section_exits_1(self, tmp_path, capsys, change):
         path = write_yaml(tmp_path, {**MINIMAL, **change})
         assert cli_main(["validate-config", "--config", path]) == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["model", "initial", "integrator",
+                                         "lyapunov", "grid", "bath", "fit",
+                                         "ehrenfest"])
+    def test_unknown_section_key_exits_1(self, tmp_path, capsys, section):
+        data = copy.deepcopy(FULL)
+        data[section]["typo"] = 1
+        path = write_yaml(tmp_path, data)
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert (f"unknown config key '{section}.typo'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key, section", [
+        ("bath.n_mode", {"coupling": 1.0, "omega_max": 10.0,
+                         "temperature": 1000.0, "n_mode": 500}),
+        ("lyapunov.dtt", {"total_time": 20.0, "renorm_interval": 2.0,
+                          "dtt": 0.02}),
+    ], ids=["bath.n_mode", "lyapunov.dtt"])
+    def test_decohere_rejects_a_misspelt_key(self, tmp_path, capsys, key,
+                                             section):
+        # each would run other physics than it declares: no exact oracle,
+        # or the tangent loop at integrator.dt
+        path = write_yaml(tmp_path, {**SMALL_RUN, key.split(".")[0]: section})
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(runs)]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not runs.exists()
 
     @pytest.mark.parametrize("change, key", [
         ({"model": {"family": "separable_quartic",

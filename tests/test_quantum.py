@@ -249,6 +249,14 @@ class TestBreakTime:
         t_break = ehrenfest_break_time(series, traj, 0.055)
         assert t_break == pytest.approx(5.5, abs=1e-9)
 
+    @pytest.mark.parametrize("threshold", [True, "1", np.nan, np.inf, 0, -1])
+    def test_threshold_is_a_positive_finite_number(self, threshold):
+        t = np.linspace(0.0, 10.0, 101)
+        traj = Trajectory(t, np.zeros((101, 4)), np.zeros(101))
+        series = ExpectationSeries(t, np.zeros((101, 2)), np.zeros((101, 2)))
+        with pytest.raises(DomainError, match="threshold"):
+            ehrenfest_break_time(series, traj, threshold)
+
     def test_window_mismatch_raises(self):
         t_long = np.linspace(0.0, 10.0, 101)
         t_short = np.linspace(0.0, 5.0, 51)
