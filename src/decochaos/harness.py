@@ -14,8 +14,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import platform
+import shutil
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
@@ -276,6 +279,9 @@ def _parse_config(data: dict) -> ExperimentConfig:
 
     with section("initial"):
         ini = _mapping(data, "initial", InitialSpec, required=True)
+        if not isinstance(ini["alternates"], (list, tuple)):
+            raise ConfigError(["initial.alternates: must be a list of "
+                               "points"])
         initial = InitialSpec(
             _point(ini.get("z")),
             None if ini["delta_z"] is None else _point(ini["delta_z"]),
@@ -382,12 +388,84 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _outcome(fn, args):
+    """(True, fn(*args)), or (False, the exception fn raised)."""
+    try:
+        return True, fn(*args)
+    except BaseException as exc:    # raised again by _settle
+        return False, exc
+
+
+def _settle(outcome):
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
+
+
+def _forked(fn, *args):
+    """Start fn(*args) in a forked child process and return a join() that
+    waits for it, then returns fn's result or raises fn's exception; both
+    come back pickled. Call join() once, also when the caller's own work
+    fails, so that no child outlives the caller. Fork only while no other
+    thread of this process runs. Where os.fork does not exist, fn runs
+    here and now."""
+    if not hasattr(os, "fork"):
+        outcome = _outcome(fn, args)
+        return lambda: _settle(outcome)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(_outcome(fn, args), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)    # never back into the caller's stack
+    os.close(write_end)
+
+    def join():
+        # read to the end before waiting: the child blocks on a result
+        # larger than the pipe buffer until it is read
+        with open(read_end, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise ChildProcessError(f"forked {fn.__name__} ended with exit "
+                                    f"code {status} and no result")
+        return _settle(pickle.loads(data))
+    return join
+
+
 def write_csv(path, header, columns):
-    """17 significant digit CSV of numeric columns with LF line endings."""
+    """17 significant digit CSV of numeric columns with LF line endings.
+
+    A forked child (_forked) formats the second half of the rows into an
+    unlinked temporary file beside path while this process writes the
+    header and the first half, then appends the child's half: the bytes
+    of formatting every row in order.
+    """
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+    n = min(map(len, columns), default=0)
+    text = {"encoding": "ascii", "newline": "\n"}
+
+    def rows(fh, start, stop):
+        fh.writelines(row % values for values in
+                      zip(*(column[start:stop] for column in columns)))
+        fh.flush()
+
+    with open(path, "w", **text) as fh, tempfile.TemporaryFile(
+            "w+", dir=os.path.dirname(path) or ".", **text) as tail:
+        join = _forked(rows, tail, n // 2, n)
+        try:
+            fh.write(",".join(header) + "\n")
+            rows(fh, 0, n // 2)
+        finally:
+            join()
+        tail.seek(0)
+        shutil.copyfileobj(tail, fh)
 
 
 def _sha256(path):
@@ -436,9 +514,17 @@ class _RunDir:
     def __init__(self, root, slug, started=None):
         self.started = time.perf_counter() if started is None else started
         root = root or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
-        stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%dT%H%M%S.%f")
-        self.path = os.path.join(root, f"{stamp}-{slug}")
-        os.makedirs(self.path, exist_ok=False)
+        while True:
+            stamp = _dt.datetime.now(_dt.timezone.utc).strftime(
+                "%Y%m%dT%H%M%S.%f")
+            self.path = os.path.join(root, f"{stamp}-{slug}")
+            try:
+                os.makedirs(self.path)
+                break
+            except FileExistsError:
+                # a run of the same slug in another process, such as
+                # compare's forked sub-run, took this microsecond
+                continue
         self.files, self.results, self.checks = [], {}, {}
 
     def csv(self, name, header, columns):
@@ -755,11 +841,17 @@ def compare_command(config_regular: ExperimentConfig,
         raise ConfigError(problems)
 
     started = time.perf_counter()
+    # the chaotic sub-run runs in a forked child beside the regular one
+    join = _forked(_run, config_chaotic, out_dir)
+    try:
+        regular = _run(config_regular, out_dir)
+    finally:
+        chaotic = join()
     report = {}
 
-    def regime(cfg, label):
+    def regime(cfg, label, outcome):
         # the sub-run's record holds its growth-law fit and Lyapunov estimate
-        rec, gamma = _run(cfg, out_dir)
+        rec, gamma = outcome
         if rec.error is not None:
             raise SimulationError(f"{label} run failed: {rec.error}")
         report[f"{label}_run"] = rec.path
@@ -769,8 +861,8 @@ def compare_command(config_regular: ExperimentConfig,
         return RegimeRun(label=label, gamma=gamma,
                          ehrenfest_t_max=cfg.ehrenfest.t_max)
 
-    reg = regime(config_regular, "regular")
-    cha = regime(config_chaotic, "chaotic")
+    reg = regime(config_regular, "regular", regular)
+    cha = regime(config_chaotic, "chaotic", chaotic)
     comparison = compare_regimes(reg, cha, reg.gamma.t)
 
     # comparison artifacts live in their own run directory

@@ -1,10 +1,13 @@
 import copy
 import csv
 import dataclasses
+import datetime
 import json
 import os
+import signal
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,29 @@ def read_columns(path, *keys):
     with open(path, encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))
     return [np.array([float(r[k]) for r in rows]) for k in keys]
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail the test if it leaves a child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sub_run_outputs(record):
+    """A comparison's manifest, results apart from the sub-run paths and
+    checks, and each sub-run's manifest, results, checks and error."""
+    results = {k: v for k, v in record.results.items()
+               if k not in ("regular_run", "chaotic_run")}
+    subs = {}
+    for label in ("regular", "chaotic"):
+        with open(os.path.join(record.results[f"{label}_run"],
+                               "record.json")) as fh:
+            sub = json.load(fh)
+        subs[label] = {k: sub[k] for k in ("manifest", "results", "checks",
+                                           "error")}
+    return record.manifest, results, record.checks, subs
 
 
 class TestLoadConfig:
@@ -485,20 +511,140 @@ class TestCompareCommand:
         np.testing.assert_array_equal(ratio, expected.ratio)
 
     def test_compare_fits_each_divergence_once(self, tmp_path, monkeypatch):
-        calls = []
+        # the chaotic sub-run fits in a forked child, so each fit leaves
+        # a line in a file that both processes append to
+        calls = tmp_path / "fits.log"
+        calls.touch()
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            with open(calls, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
             return classical.classify_scaling(*args, **kwargs)
 
         for module in (harness, decoherence):
             if hasattr(module, "classify_scaling"):
                 monkeypatch.setattr(module, "classify_scaling", counted)
         compare_command(*short_shipped_pair(), str(tmp_path / "runs"))
-        assert len(calls) == 2
+        assert len(calls.read_text().splitlines()) == 2
+
+    def test_forked_sub_run_matches_sequential_sub_runs(
+            self, tmp_path, monkeypatch, no_child_left):
+        pair = short_shipped_pair()
+        forked = compare_command(*pair, str(tmp_path / "forked"))
+        # without os.fork the sub-runs run one after the other, here
+        monkeypatch.delattr(os, "fork")
+        inline = compare_command(*pair, str(tmp_path / "inline"))
+        assert sub_run_outputs(forked) == sub_run_outputs(inline)
+
+    @pytest.mark.parametrize("failing", [
+        ("regular",), ("chaotic",), ("regular", "chaotic")],
+        ids=["regular", "chaotic", "both"])
+    def test_failing_sub_run_exits_2(self, tmp_path, capsys, no_child_left,
+                                     failing):
+        # z starts at |q| = 1, outside an escape radius of 0.9
+        bad = copy.deepcopy(SMALL_RUN)
+        bad["integrator"]["escape_radius"] = 0.9
+        paths = {label: write_yaml(tmp_path, bad if label in failing
+                                   else SMALL_RUN, f"{label}.yaml")
+                 for label in ("regular", "chaotic")}
+        runs = tmp_path / "runs"
+        assert cli_main(["compare", "--config", paths["regular"],
+                         "--config-chaotic", paths["chaotic"],
+                         "--out", str(runs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime failure: {failing[0]} run failed: "
+                              f"{{'type': 'EscapeError'")
+        # both sub-runs ran to the end; the comparison was not written
+        assert sorted(name.split("-", 1)[1]
+                      for name in os.listdir(runs)) == ["small", "small"]
+
+    def test_sub_runs_sharing_a_slug_get_two_directories(
+            self, tmp_path, monkeypatch, no_child_left):
+        # a clock that reads one instant at its first call in each
+        # process: both sub-runs stamp their directories alike
+        real = datetime.datetime
+        first = []
+
+        class Clock(real):
+            @classmethod
+            def now(cls, tz=None):
+                if first:
+                    return real.now(tz)
+                first.append(True)
+                return real(2026, 1, 1, tzinfo=tz)
+
+        monkeypatch.setattr(harness, "_dt", types.SimpleNamespace(
+            datetime=Clock, timezone=datetime.timezone))
+        cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
+        record = compare_command(cfg, cfg, str(tmp_path / "runs"))
+        sub_runs = {record.results["regular_run"],
+                    record.results["chaotic_run"]}
+        assert len(sub_runs) == 2
+        assert str(tmp_path / "runs" / "20260101T000000.000000-small") in \
+            sub_runs
+        assert all(os.path.isfile(os.path.join(path, "record.json"))
+                   for path in sub_runs)
+
+
+def single_process_csv(header, columns):
+    """The bytes of formatting every row in order in one process."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (",".join(header) + "\n" + "".join(
+        row % values for values in zip(*columns))).encode("ascii")
+
+
+class TestForked:
+    def test_result_larger_than_the_pipe_buffer(self, no_child_left):
+        values = np.arange(100_000.0)    # 800 kB pickled
+        signal.alarm(30)    # SIGALRM ends the run if join() deadlocks
+        try:
+            result = harness._forked(np.copy, values)()
+        finally:
+            signal.alarm(0)
+        np.testing.assert_array_equal(result, values)
+
+    def test_child_ending_without_a_result(self, no_child_left):
+        join = harness._forked(os._exit, 3)
+        with pytest.raises(ChildProcessError, match="exit code 3"):
+            join()
 
 
 class TestWriteCsv:
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 60001])
+    def test_halves_join_into_the_single_process_bytes(
+            self, tmp_path, monkeypatch, no_child_left, fork, n):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        rng = np.random.default_rng(n)
+        columns = [0.005 * np.arange(n), rng.standard_normal(n),
+                   1e-300 * rng.standard_normal(n)]
+        path = tmp_path / "x.csv"
+        write_csv(str(path), ["t", "a", "b"], columns)
+        assert path.read_bytes() == single_process_csv(["t", "a", "b"],
+                                                       columns)
+        assert os.listdir(tmp_path) == ["x.csv"]
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_a_failing_half_exits_1(self, tmp_path, monkeypatch, capsys,
+                                    no_child_left, half):
+        # /dev/full takes writes and fails them with ENOSPC on a flush
+        out = str(tmp_path / "x.csv")
+        if half == "first":
+            monkeypatch.setattr(
+                harness, "open", lambda path, *args, **kwargs: open(
+                    "/dev/full" if path == out else path, *args, **kwargs),
+                raising=False)
+        else:
+            monkeypatch.setattr(harness, "tempfile", types.SimpleNamespace(
+                TemporaryFile=lambda *args, **kwargs: open(
+                    "/dev/full", "w+", encoding="ascii")))
+        with pytest.raises(OSError, match="No space left"):
+            write_csv(out, ["t"], [np.arange(3.0)])
+        path = write_yaml(tmp_path, MINIMAL)
+        assert cli_main(["propagate", "--config", path, "--out", out]) == 1
+        assert "No space left" in capsys.readouterr().err
+
     def test_format_and_line_endings(self, tmp_path):
         path = tmp_path / "x.csv"
         write_csv(str(path), ["t", "v"],
@@ -571,9 +717,12 @@ class TestCli:
         {"ehrenfest": [75.0]},
         {"model": {"family": ["harmonic2d"]}},
         {"model": {"family": "harmonic2d", "params": []}},
+        {"initial": {"z": [1.0, 0.0, 0.0, 0.5], "alternates": {}}},
+        {"initial": {"z": [1.0, 0.0, 0.0, 0.5], "alternates": ""}},
     ], ids=["fit.window-string", "fit-list", "grid.lx-string",
             "lyapunov.total_time-string", "bath.coupling-string",
-            "ehrenfest-list", "model.family-list", "model.params-list"])
+            "ehrenfest-list", "model.family-list", "model.params-list",
+            "initial.alternates-mapping", "initial.alternates-string"])
     def test_malformed_section_exits_1(self, tmp_path, capsys, change):
         path = write_yaml(tmp_path, {**MINIMAL, **change})
         assert cli_main(["validate-config", "--config", path]) == 1
