@@ -21,6 +21,11 @@ class EscapeError(SimulationError):
         self.state = state
         self.trajectory = trajectory
 
+    def __reduce__(self):
+        # pickle rebuilds an exception from its constructor's arguments,
+        # as a forked child's exception crosses the pipe (harness._forked)
+        return type(self), (str(self), self.time, self.state, self.trajectory)
+
 
 class FitError(SimulationError):
     """A scaling fit could not be performed on the given window."""
@@ -52,3 +57,6 @@ class ConfigError(SimulationError, ValueError):
         self.errors = list(errors)
         super().__init__("invalid configuration:\n" + "\n".join(
             f"  - {e}" for e in self.errors))
+
+    def __reduce__(self):
+        return type(self), (self.errors,)

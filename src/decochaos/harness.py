@@ -19,7 +19,6 @@ import platform
 import shutil
 import sys
 import tempfile
-import threading
 import time
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
@@ -84,9 +83,11 @@ def _integer(mapping, name, least):
 
 
 def _count(mapping, name, least):
-    """_integer whose largest array fits in sys.maxsize bytes. Both counts
-    size 32 bytes per unit: the (n_steps + 1) x 4 float orbit buffer and
-    the oracle's (2, n_modes) complex state."""
+    """_integer whose largest array fits in sys.maxsize bytes, so that a
+    count no array can hold is a ConfigError, not a numpy failure mid-run.
+    Both counts size up to 32 bytes per unit: the (n_steps + 1) x 4 float
+    orbit buffer and the oracle's chirp-z FFT buffer (bath._lag_kernel),
+    under 2 (n_modes + lags) complex values."""
     value = _integer(mapping, name, least)
     if 32 * (value + 1) > sys.maxsize:
         raise ConfigError([f"{name}: {value} sizes an array of more than "
@@ -711,34 +712,19 @@ def _gamma_stage(config, run, dd, engine_label):
 def _quantum_stage(config, run, pair):
     spec = config.grid
     grid = Grid2D(spec.nx, spec.ny, spec.lx, spec.ly, spec.hbar_eff)
-    integ = config.integrator
-    # built here, so the grid's lazy meshes exist before a thread reads them
+    steps = (pair.model, config.integrator.dt, config.integrator.n_steps,
+             spec.sample_every)
     states = {tag: init_gaussian(grid, z, spec.widths) for tag, z in (
         ("z1", pair.z0), ("z2", pair.z0 + PhasePoint(*pair.delta)))}
-    outcome = {}
-
-    def evolve(tag):
-        try:
-            outcome[tag] = propagate_wavepacket(
-                states[tag], pair.model, integ.dt, integ.n_steps,
-                spec.sample_every)
-        except BaseException as exc:    # re-raised below, in packet order
-            outcome[tag] = exc
-
-    # the packets are independent and numpy's FFTs and elementwise
-    # products release the GIL, so z2 advances on a second thread
-    worker = threading.Thread(target=evolve, args=("z2",))
-    worker.start()
-    try:
-        evolve("z1")
-    finally:
-        worker.join()
+    # the packets are independent: z2 advances in a forked child while z1
+    # advances here, and a failure is raised in packet order
+    join = _forked(propagate_wavepacket, states["z2"], *steps)
+    outcome = {"z1": _outcome(propagate_wavepacket, (states["z1"], *steps)),
+               "z2": _outcome(join, ())}
 
     series = {}
     for tag in ("z1", "z2"):
-        if isinstance(outcome[tag], BaseException):
-            raise outcome[tag]
-        exp_series, final = outcome[tag]
+        exp_series, final = _settle(outcome[tag])
         series[tag] = exp_series
         run.csv(f"expectations_{tag}.csv",
                 ["t", "mean_qx", "mean_qy", "var_qx", "var_qy"],
@@ -796,7 +782,8 @@ def _run(config, out_dir):
         if config.engine in ("quantum", "both"):
             _gamma_stage(config, run, _quantum_stage(config, run, pair),
                          "quantum")
-    except (SimulationError, MemoryError) as exc:
+    except (SimulationError, MemoryError, ChildProcessError) as exc:
+        # ChildProcessError: a forked helper (_forked) died without a result
         error = {"type": type(exc).__name__, "message": str(exc)}
     return run.record(config.to_dict(), error), gamma
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from decochaos import classical, decoherence, harness
 from decochaos.cli import main as cli_main
 from decochaos.decoherence import RegimeRun, compare_regimes
-from decochaos.errors import BoundaryLeakError, ConfigError, DomainError
+from decochaos.errors import (BoundaryLeakError, ConfigError, DomainError,
+                              EscapeError)
 from decochaos.harness import (ExperimentConfig, _parse_config,
                                compare_command, load_config, run_experiment,
                                write_csv)
@@ -268,10 +269,14 @@ class TestRunExperiment:
         assert record.results["ehrenfest_break_time"] is None
         assert record.results["hartree_error"]["value"] > 0
 
-    def test_packets_match_sequential_propagation(self, tmp_path):
+    def test_packets_match_sequential_propagation(
+            self, tmp_path, monkeypatch, no_child_left):
         cfg = load_config(write_yaml(tmp_path, BOTH_RUN))
-        record = run_experiment(cfg, str(tmp_path / "runs"))
-        assert record.error is None
+        forked = run_experiment(cfg, str(tmp_path / "forked"))
+        # without os.fork both packets run here, one after the other
+        monkeypatch.delattr(os, "fork")
+        inline = run_experiment(cfg, str(tmp_path / "inline"))
+        assert forked.error is None and inline.error is None
         spec = cfg.grid
         grid = Grid2D(spec.nx, spec.ny, spec.lx, spec.ly, spec.hbar_eff)
         z1 = PhasePoint(*cfg.initial.z)
@@ -280,16 +285,16 @@ class TestRunExperiment:
             series, _ = propagate_wavepacket(
                 init_gaussian(grid, z, spec.widths), cfg.model.build(),
                 cfg.integrator.dt, cfg.integrator.n_steps, spec.sample_every)
-            written = read_columns(os.path.join(
-                record.path, f"expectations_{tag}.csv"),
-                "t", "mean_qx", "mean_qy", "var_qx", "var_qy")
-            direct = [series.t, *series.mean_q.T, *series.var_q.T]
-            for got, want in zip(written, direct):
-                assert np.array_equal(got, want)
+            sequential = single_process_csv(
+                ["t", "mean_qx", "mean_qy", "var_qx", "var_qy"],
+                [series.t, *series.mean_q.T, *series.var_q.T])
+            for record in (forked, inline):
+                assert Path(record.path, f"expectations_{tag}.csv"
+                            ).read_bytes() == sequential
 
     @pytest.mark.parametrize("failing", ["z1", "z2"])
     def test_packet_failure_is_recorded_in_packet_order(
-            self, tmp_path, monkeypatch, failing):
+            self, tmp_path, monkeypatch, no_child_left, failing):
         path = write_yaml(tmp_path, BOTH_RUN)
         cfg = load_config(path)
         spec = cfg.grid
@@ -315,6 +320,30 @@ class TestRunExperiment:
             payload["manifest"])
         assert written == ({"expectations_z1.csv"} if failing == "z2"
                            else set())
+
+    def test_packet_child_ending_without_a_result_is_recorded(
+            self, tmp_path, monkeypatch, no_child_left):
+        # z2 is the one packet propagated in a forked child
+        parent = os.getpid()
+        real = harness.propagate_wavepacket
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "propagate_wavepacket", dying)
+        path = write_yaml(tmp_path, BOTH_RUN)
+        root = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(root)]) == 2
+        [run_dir] = root.iterdir()
+        payload = json.loads((run_dir / "record.json").read_text())
+        assert payload["error"] == {
+            "type": "ChildProcessError",
+            "message": "forked dying ended with exit code 3 and no result"}
+        assert "expectations_z1.csv" in payload["manifest"]
+        assert "expectations_z2.csv" not in payload["manifest"]
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         from decochaos.harness import OUTPUT_ROOT_ENV
@@ -607,6 +636,20 @@ class TestForked:
         join = harness._forked(os._exit, 3)
         with pytest.raises(ChildProcessError, match="exit code 3"):
             join()
+
+    @pytest.mark.parametrize("exc", [
+        EscapeError("escaped", 1.5, PhasePoint(1.0, 0.0, 0.0, 0.5)),
+        ConfigError(["a: bad", "b: worse"])],
+        ids=lambda exc: type(exc).__name__)
+    def test_package_exception_comes_back_whole(self, no_child_left, exc):
+        def fail():
+            raise exc
+
+        with pytest.raises(type(exc)) as caught:
+            harness._forked(fail)()
+        assert type(caught.value) is type(exc)
+        assert str(caught.value) == str(exc)
+        assert vars(caught.value) == vars(exc)
 
 
 class TestWriteCsv:
