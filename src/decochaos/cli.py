@@ -97,13 +97,12 @@ def cmd_decohere(args):
 
 
 def cmd_compare(args):
-    # absence of dominance is a scientific outcome, not a failure;
-    # sub-run failures surface as SimulationError and exit 2
+    # no dominance is a finding, not a failure; a failed run or record exits 2
     record = compare_command(_load(args), _load(args, "config_chaotic"),
                              args.out)
     print(f"comparison directory: {record.path}")
     print(json.dumps(record.results, indent=2, sort_keys=True))
-    return 0
+    return 0 if record.error is None else 2
 
 
 def cmd_fit(args):
@@ -194,7 +193,7 @@ def build_parser():
     p = sub.add_parser("fit", help="growth-law fit of a divergence series")
     common(p, config_required=False)
     p.add_argument("--csv", default=None,
-                   help="fit an existing divergence CSV instead of running")
+                   help="fit D(t) of a CSV such as a run's classical.csv")
     p.add_argument("--window", type=float, nargs=2, default=None,
                    metavar=("T_LO", "T_HI"))
     p.set_defaults(func=cmd_fit)

@@ -2,9 +2,9 @@
 
 One YAML config describes one experiment. Runs land in
 ``<output_root>/<timestamp>-<slug>/`` holding ``config.snapshot``,
-``record.json`` and the per-module CSV files; every file written by a
-run is checksummed in its record's manifest. Identical config plus seed
-reproduces byte-identical numeric outputs.
+``record.json`` and a CSV table per time grid, such as ``classical.csv``;
+every file written by a run is checksummed in its record's manifest.
+Identical config plus seed reproduces byte-identical numeric outputs.
 """
 from __future__ import annotations
 
@@ -449,7 +449,9 @@ def write_csv(path, header, columns):
     of formatting every row in order.
     """
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    n = min(map(len, columns), default=0)
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"{path}: columns of unequal length")
     text = {"encoding": "ascii", "newline": "\n"}
 
     def rows(fh, start, stop):
@@ -508,9 +510,9 @@ class RunRecord:
 
 class _RunDir:
     """A run directory, <root>/<utc-timestamp>-<slug>, and the files,
-    results and checks a run puts in it; ``record`` is the one writer of
-    its record.json. root falls back to $DECOCHAOS_RUNS, then ./runs;
-    the wall clock starts at ``started``, else now."""
+    tables, results and checks a run puts in it; ``record`` writes its
+    tables and record.json. root falls back to $DECOCHAOS_RUNS, then
+    ./runs; the wall clock starts at ``started``, else now."""
 
     def __init__(self, root, slug, started=None):
         self.started = time.perf_counter() if started is None else started
@@ -519,24 +521,29 @@ class _RunDir:
             stamp = _dt.datetime.now(_dt.timezone.utc).strftime(
                 "%Y%m%dT%H%M%S.%f")
             self.path = os.path.join(root, f"{stamp}-{slug}")
-            try:
+            # a run of the same slug in another process, such as compare's
+            # forked sub-run, may take this microsecond: try the next one
+            with contextlib.suppress(FileExistsError):
                 os.makedirs(self.path)
                 break
-            except FileExistsError:
-                # a run of the same slug in another process, such as
-                # compare's forked sub-run, took this microsecond
-                continue
-        self.files, self.results, self.checks = [], {}, {}
+        self.files, self.tables, self.results, self.checks = [], {}, {}, {}
 
-    def csv(self, name, header, columns):
-        write_csv(os.path.join(self.path, name), header, columns)
-        self.files.append(name)
+    def columns(self, name, t, **columns):
+        """Add named columns to table ``name``; its first ``t`` is kept."""
+        self.tables.setdefault(name, {"t": t}).update(columns)
 
     def check(self, name, value, bound, passed):
         self.checks[name] = {"value": value, "bound": bound, "pass": passed}
 
     def record(self, config, error=None) -> RunRecord:
-        """Checksum the files into a manifest and write record.json."""
+        """Write the tables, then record.json with the files' manifest."""
+        try:
+            for name, table in self.tables.items():
+                self.files.append(name)
+                write_csv(os.path.join(self.path, name), list(table),
+                          list(table.values()))
+        except ChildProcessError as exc:    # a forked write_csv half died
+            error = error or {"type": type(exc).__name__, "message": str(exc)}
         record = RunRecord(
             path=self.path, config=config,
             manifest={name: _sha256(os.path.join(self.path, name))
@@ -637,8 +644,8 @@ def _classical_pair(config, window=None) -> _OrbitPair:
 
 
 def _classical_stage(config, run, pair):
-    """Record the pair's orbit, divergence, fit and energy drift, and the
-    Lyapunov estimate if configured; return the pair's drive difference."""
+    """Record the pair's orbits, divergence, fit and energy drift (of both
+    orbits), and Lyapunov estimate if set; return its drive difference."""
     integ = config.integrator
     z0, traj, div, fit = pair.z0, pair.traj, pair.div, pair.fit
     run.results.update(
@@ -651,14 +658,11 @@ def _classical_stage(config, run, pair):
         run.check("expected_scaling", None if fit is None else fit.kind,
                   expected, fit is not None and fit.kind == expected)
 
-    run.csv("trajectory.csv", ["t", "qx", "qy", "px", "py", "energy"],
-            [traj.t, traj.z[:, 0], traj.z[:, 1], traj.z[:, 2], traj.z[:, 3],
-             traj.energy])
-    run.csv("divergence.csv", ["t", "D", "separation", "energy_drift"],
-            [div.t, div.D, div.separation, div.energy_drift])
+    run.columns("classical.csv", t=traj.t, qx=traj.z[:, 0], qy=traj.z[:, 1],
+                px=traj.z[:, 2], py=traj.z[:, 3], energy=traj.energy, D=div.D,
+                separation=div.separation, energy_drift=div.energy_drift)
 
-    drift = traj.energy_drift()
-    run.results["energy_drift"] = drift
+    drift = run.results["energy_drift"] = float(np.max(div.energy_drift))
     run.check("energy_drift", drift, integ.energy_drift_bound,
               drift <= integ.energy_drift_bound)
 
@@ -672,8 +676,8 @@ def _classical_stage(config, run, pair):
             "renorm_interval": est.renorm_interval,
             "total_time": est.total_time,
         }
-        run.csv("lyapunov.csv", ["t", "lambda_running"],
-                [est.convergence[:, 0], est.convergence[:, 1]])
+        run.columns("lyapunov.csv", t=est.convergence[:, 0],
+                    lambda_running=est.convergence[:, 1])
 
     return DriveDifference.from_trajectories(traj, pair.traj2)
 
@@ -689,11 +693,8 @@ def _gamma_stage(config, run, dd, engine_label):
         bath = discretize_bath(sd, bath_cfg.n_modes)
         oracle = decoherence_exponent_oracle(bath, dd, bath_cfg.temperature)
 
-    columns = {"t": gamma.t, "gamma_asymptotic": gamma.gamma}
-    if oracle is not None:
-        columns["gamma_oracle"] = oracle.gamma
-    run.csv(f"decoherence_{engine_label}.csv", list(columns),
-            list(columns.values()))
+    run.columns(f"{engine_label}.csv", t=gamma.t, gamma_asymptotic=gamma.gamma,
+                **({} if oracle is None else {"gamma_oracle": oracle.gamma}))
 
     summary = run.results.setdefault("gamma", {})[engine_label] = {
         "final_t": float(gamma.t[-1]),
@@ -726,22 +727,19 @@ def _quantum_stage(config, run, pair):
     for tag in ("z1", "z2"):
         exp_series, final = _settle(outcome[tag])
         series[tag] = exp_series
-        run.csv(f"expectations_{tag}.csv",
-                ["t", "mean_qx", "mean_qy", "var_qx", "var_qy"],
-                [exp_series.t, exp_series.mean_q[:, 0],
-                 exp_series.mean_q[:, 1], exp_series.var_q[:, 0],
-                 exp_series.var_q[:, 1]])
+        mean, var = exp_series.mean_q, exp_series.var_q
+        run.columns("quantum.csv", t=exp_series.t, **{
+            f"{tag}_mean_qx": mean[:, 0], f"{tag}_mean_qy": mean[:, 1],
+            f"{tag}_var_qx": var[:, 0], f"{tag}_var_qy": var[:, 1]})
         if spec.save_snapshots:
             snap = f"psi_{tag}.bin"
             save_wavepacket(final, os.path.join(run.path, snap))
             run.files.extend([snap, snap + ".hdr"])
 
-    threshold = config.ehrenfest.threshold
-    if threshold is None:
-        threshold = DEFAULT_THRESHOLD_FRACTION * pair.diam
-    t_break = ehrenfest_break_time(series["z1"], pair.traj, threshold)
-    run.results["ehrenfest_break_time"] = t_break
-    run.results["ehrenfest_threshold"] = threshold
+    threshold = (config.ehrenfest.threshold
+                 or DEFAULT_THRESHOLD_FRACTION * pair.diam)
+    run.results.update(ehrenfest_break_time=ehrenfest_break_time(
+        series["z1"], pair.traj, threshold), ehrenfest_threshold=threshold)
 
     if config.bath is not None:
         est = hartree_error(series["z1"], config.bath.coupling,
@@ -833,7 +831,10 @@ def compare_command(config_regular: ExperimentConfig,
     try:
         regular = _run(config_regular, out_dir)
     finally:
-        chaotic = join()
+        try:
+            chaotic = join()
+        except ChildProcessError as exc:
+            raise SimulationError(f"chaotic run failed: {exc}") from None
     report = {}
 
     def regime(cfg, label, outcome):
@@ -854,8 +855,7 @@ def compare_command(config_regular: ExperimentConfig,
 
     # comparison artifacts live in their own run directory
     run = _RunDir(out_dir or config_chaotic.output_dir, "compare", started)
-    run.csv("gamma_ratio.csv", ["t", "ratio"],
-            [comparison.t, comparison.ratio])
+    run.columns("gamma_ratio.csv", t=comparison.t, ratio=comparison.ratio)
     windows = {"regular": config_regular.ehrenfest.t_max,
                "chaotic": config_chaotic.ehrenfest.t_max}
     run.results.update(report, dominates=comparison.dominates,

@@ -86,6 +86,21 @@ def read_columns(path, *keys):
     return [np.array([float(r[k]) for r in rows]) for k in keys]
 
 
+def csv_fields(data):
+    """Each column of CSV bytes by header name, as its fields' bytes."""
+    header, *rows = data.splitlines()
+    return dict(zip(header.decode().split(","),
+                    zip(*(row.split(b",") for row in rows))))
+
+
+def header(path):
+    return Path(path).read_text().splitlines()[0]
+
+
+TRAJECTORY = "t,qx,qy,px,py,energy,D,separation,energy_drift"
+PACKET = ["mean_qx", "mean_qy", "var_qx", "var_qy"]
+
+
 @pytest.fixture
 def no_child_left():
     """Fail the test if it leaves a child process, running or unreaped."""
@@ -215,11 +230,11 @@ class TestRunExperiment:
         cfg = load_config(write_yaml(tmp_path, data))
         record = run_experiment(cfg, str(tmp_path / "runs"))
         assert record.error is None
-        gamma_csv = os.path.join(record.path, "decoherence_classical.csv")
-        rows = [line.split(",") for line in
-                open(gamma_csv).read().splitlines()[1:]]
-        assert all(float(r[1]) == 0.0 for r in rows)
-        assert all(float(r[2]) == 0.0 for r in rows)
+        gamma, oracle = read_columns(
+            os.path.join(record.path, "classical.csv"), "gamma_asymptotic",
+            "gamma_oracle")
+        assert gamma.size == 3001
+        assert np.all(gamma == 0.0) and np.all(oracle == 0.0)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
@@ -231,19 +246,13 @@ class TestRunExperiment:
     def test_csv_interfaces(self, tmp_path):
         cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
         record = run_experiment(cfg, str(tmp_path / "runs"))
-        headers = {
-            "divergence.csv": "t,D,separation,energy_drift",
-            "decoherence_classical.csv": "t,gamma_asymptotic,gamma_oracle",
-            "trajectory.csv": "t,qx,qy,px,py,energy",
-        }
-        for name, header in headers.items():
-            first = open(os.path.join(record.path, name)).readline().strip()
-            assert first == header, name
-        row = open(os.path.join(record.path,
-                                "decoherence_classical.csv")).readlines()[1]
-        assert len(row.split(",")) == 3
-        # the oracle column lives in decoherence_<engine>.csv only
-        assert "gamma_oracle_classical.csv" not in record.manifest
+        # one table per time grid: the orbit, its divergence and the
+        # exponents it drives share the integrator's samples
+        path = os.path.join(record.path, "classical.csv")
+        assert header(path) == f"{TRAJECTORY},gamma_asymptotic,gamma_oracle"
+        row = open(path).readlines()[1]
+        assert len(row.split(",")) == 11
+        assert set(record.manifest) == {"config.snapshot", "classical.csv"}
 
     def test_both_engines_report_both(self, tmp_path):
         data = copy.deepcopy(SMALL_RUN)
@@ -255,12 +264,13 @@ class TestRunExperiment:
         cfg = load_config(write_yaml(tmp_path, data))
         record = run_experiment(cfg, str(tmp_path / "runs"))
         assert record.error is None
-        for name in ("decoherence_classical.csv", "decoherence_quantum.csv",
-                     "expectations_z1.csv", "expectations_z2.csv"):
-            assert name in record.manifest
-        header = open(os.path.join(record.path,
-                                   "expectations_z1.csv")).readline().strip()
-        assert header == "t,mean_qx,mean_qy,var_qx,var_qy"
+        assert set(record.manifest) == {"config.snapshot", "classical.csv",
+                                        "quantum.csv"}
+        assert header(os.path.join(record.path, "classical.csv")) == \
+            f"{TRAJECTORY},gamma_asymptotic,gamma_oracle"
+        assert header(os.path.join(record.path, "quantum.csv")).split(",") == [
+            "t", *(f"{tag}_{name}" for tag in ("z1", "z2") for name in PACKET),
+            "gamma_asymptotic", "gamma_oracle"]
         # harmonic packet means follow the classical orbit, so the two
         # engines agree on the exponent
         g = record.results["gamma"]
@@ -281,16 +291,17 @@ class TestRunExperiment:
         grid = Grid2D(spec.nx, spec.ny, spec.lx, spec.ly, spec.hbar_eff)
         z1 = PhasePoint(*cfg.initial.z)
         z2 = z1 + PhasePoint(*cfg.initial.delta_z)
+        tables = [csv_fields(Path(record.path, "quantum.csv").read_bytes())
+                  for record in (forked, inline)]
         for tag, z in (("z1", z1), ("z2", z2)):
             series, _ = propagate_wavepacket(
                 init_gaussian(grid, z, spec.widths), cfg.model.build(),
                 cfg.integrator.dt, cfg.integrator.n_steps, spec.sample_every)
-            sequential = single_process_csv(
-                ["t", "mean_qx", "mean_qy", "var_qx", "var_qy"],
-                [series.t, *series.mean_q.T, *series.var_q.T])
-            for record in (forked, inline):
-                assert Path(record.path, f"expectations_{tag}.csv"
-                            ).read_bytes() == sequential
+            sequential = csv_fields(single_process_csv(
+                ["t", *(f"{tag}_{name}" for name in PACKET)],
+                [series.t, *series.mean_q.T, *series.var_q.T]))
+            for table in tables:
+                assert {k: table[k] for k in sequential} == sequential
 
     @pytest.mark.parametrize("failing", ["z1", "z2"])
     def test_packet_failure_is_recorded_in_packet_order(
@@ -316,10 +327,13 @@ class TestRunExperiment:
         payload = json.loads((run_dir / "record.json").read_text())
         assert payload["error"] == {"type": "BoundaryLeakError",
                                     "message": f"{failing} leaks"}
-        written = {"expectations_z1.csv", "expectations_z2.csv"} & set(
-            payload["manifest"])
-        assert written == ({"expectations_z1.csv"} if failing == "z2"
-                           else set())
+        # z2 failing leaves z1's columns; z1 failing leaves no table
+        quantum = run_dir / "quantum.csv"
+        assert ("quantum.csv" in payload["manifest"]) == (failing == "z2")
+        assert quantum.exists() == (failing == "z2")
+        if failing == "z2":
+            assert header(quantum).split(",") == [
+                "t", *(f"z1_{name}" for name in PACKET)]
 
     def test_packet_child_ending_without_a_result_is_recorded(
             self, tmp_path, monkeypatch, no_child_left):
@@ -342,8 +356,86 @@ class TestRunExperiment:
         assert payload["error"] == {
             "type": "ChildProcessError",
             "message": "forked dying ended with exit code 3 and no result"}
-        assert "expectations_z1.csv" in payload["manifest"]
-        assert "expectations_z2.csv" not in payload["manifest"]
+        assert "quantum.csv" in payload["manifest"]
+        assert header(run_dir / "quantum.csv").split(",") == [
+            "t", *(f"z1_{name}" for name in PACKET)]
+
+    @pytest.mark.parametrize("data, tables", [
+        (SMALL_RUN, {"classical.csv"}),
+        (BOTH_RUN, {"classical.csv", "quantum.csv"})],
+        ids=["classical", "both"])
+    def test_run_directory_holds_the_manifest_and_record(
+            self, tmp_path, no_child_left, data, tables):
+        # no temporary file of a forked write_csv half is left behind
+        cfg = load_config(write_yaml(tmp_path, data))
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error is None
+        assert set(record.manifest) == {"config.snapshot", *tables}
+        assert sorted(os.listdir(record.path)) == sorted(
+            [*record.manifest, "record.json"])
+
+    def test_oracle_memory_error_keeps_the_classical_columns(
+            self, tmp_path, monkeypatch):
+        def no_memory(*_args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(harness, "decoherence_exponent_oracle", no_memory)
+        cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error == {"type": "MemoryError",
+                                "message": "Unable to allocate 8.00 TiB"}
+        # the orbit and divergence columns, and no exponent column
+        path = os.path.join(record.path, "classical.csv")
+        assert header(path) == TRAJECTORY
+        assert len(open(path).readlines()) == 3002
+        assert set(record.manifest) == {"config.snapshot", "classical.csv"}
+        assert record.manifest["classical.csv"] == harness._sha256(path)
+
+    def test_energy_drift_covers_both_orbits(self, tmp_path):
+        # a quartic orbit's frequency grows with its amplitude, so at one dt
+        # the displaced orbit, of five times the amplitude, drifts more
+        data = {**MINIMAL, "model": {"family": "separable_quartic"},
+                "initial": {"z": [0.2, 0.0, 0.0, 0.0],
+                            "delta_z": [0.8, 0.0, 0.0, 0.0]},
+                "integrator": {"dt": 0.05, "n_steps": 400,
+                               "energy_drift_bound": 1e-7}}
+        cfg = load_config(write_yaml(tmp_path, data))
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error is None
+        z1, z2 = (classical.propagate(cfg.model.build(), PhasePoint(*z),
+                                      0.05, 400).energy_drift()
+                  for z in ((0.2, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
+        assert z1 < 1e-7 < z2
+        drift = record.results["energy_drift"]
+        assert drift == pytest.approx(z2, rel=1e-12)
+        assert record.checks["energy_drift"] == {"value": drift,
+                                                 "bound": 1e-7, "pass": False}
+
+    def test_dead_csv_half_is_recorded(self, tmp_path, monkeypatch,
+                                       no_child_left):
+        # a classical run forks only write_csv's second halves
+        real = harness._forked
+
+        def die(*_args):
+            os._exit(3)
+
+        monkeypatch.setattr(harness, "_forked",
+                            lambda fn, *args: real(die, *args))
+        path = write_yaml(tmp_path, SMALL_RUN)
+        root = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(root)]) == 2
+        [run_dir] = root.iterdir()
+        payload = json.loads((run_dir / "record.json").read_text())
+        assert payload["error"] == {
+            "type": "ChildProcessError",
+            "message": "forked die ended with exit code 3 and no result"}
+        # the half-written table is kept and checksummed
+        assert set(payload["manifest"]) == {"config.snapshot",
+                                            "classical.csv"}
+        assert sorted(os.listdir(run_dir)) == ["classical.csv",
+                                               "config.snapshot",
+                                               "record.json"]
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         from decochaos.harness import OUTPUT_ROOT_ENV
@@ -409,8 +501,10 @@ class TestRunExperiment:
         record = run_experiment(cfg, str(tmp_path / "runs"))
         assert record.error is not None
         assert record.error["type"] == "BoundaryLeakError"
-        assert "divergence.csv" in record.manifest
-        assert os.path.exists(os.path.join(record.path, "trajectory.csv"))
+        assert "classical.csv" in record.manifest
+        assert header(os.path.join(record.path, "classical.csv")) == \
+            TRAJECTORY
+        assert not os.path.exists(os.path.join(record.path, "quantum.csv"))
 
     def test_alternate_initial_conditions_retried(self, tmp_path):
         # first z sits on a regular island; the alternate is chaotic
@@ -520,9 +614,8 @@ class TestCompareCommand:
         runs = {}
         for label, cfg in configs.items():
             rundir = res[f"{label}_run"]
-            t, g = read_columns(
-                os.path.join(rundir, "decoherence_classical.csv"),
-                "t", "gamma_asymptotic")
+            t, g = read_columns(os.path.join(rundir, "classical.csv"), "t",
+                                "gamma_asymptotic")
             with open(os.path.join(rundir, "record.json")) as fh:
                 recorded = json.load(fh)["results"]["divergence_fit"]
             assert recorded is not None
@@ -586,6 +679,59 @@ class TestCompareCommand:
         # both sub-runs ran to the end; the comparison was not written
         assert sorted(name.split("-", 1)[1]
                       for name in os.listdir(runs)) == ["small", "small"]
+
+    def test_chaotic_child_ending_without_a_result_exits_2(
+            self, tmp_path, monkeypatch, capsys, no_child_left):
+        # the chaotic sub-run is the one that runs in a forked child
+        parent = os.getpid()
+        real = harness._run
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_run", dying)
+        path = write_yaml(tmp_path, SMALL_RUN)
+        runs = tmp_path / "runs"
+        assert cli_main(["compare", "--config", path, "--config-chaotic",
+                         path, "--out", str(runs)]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: chaotic run failed: forked dying ended with "
+            "exit code 3 and no result\n")
+        # the regular sub-run ran to the end; nothing was compared
+        [regular] = runs.iterdir()
+        assert regular.name.endswith("-small")
+        payload = json.loads((regular / "record.json").read_text())
+        assert payload["error"] is None
+        assert sorted(os.listdir(regular)) == ["classical.csv",
+                                               "config.snapshot",
+                                               "record.json"]
+
+    def test_dead_csv_half_of_the_comparison_exits_2(
+            self, tmp_path, monkeypatch, capsys, no_child_left):
+        # armed once both sub-runs are done: only gamma_ratio.csv's half dies
+        armed, real_forked = [], harness._forked
+        real_compare = harness.compare_regimes
+
+        def die(*_args):
+            os._exit(3)
+
+        def compare(*args):
+            armed.append(True)
+            return real_compare(*args)
+
+        monkeypatch.setattr(harness, "compare_regimes", compare)
+        monkeypatch.setattr(harness, "_forked", lambda fn, *args: real_forked(
+            die if armed else fn, *args))
+        path = write_yaml(tmp_path, SMALL_RUN)
+        runs = tmp_path / "runs"
+        assert cli_main(["compare", "--config", path, "--config-chaotic",
+                         path, "--out", str(runs)]) == 2
+        [compared] = runs.glob("*-compare")
+        payload = json.loads((compared / "record.json").read_text())
+        assert payload["error"]["type"] == "ChildProcessError"
+        assert set(payload["manifest"]) == {"gamma_ratio.csv"}
 
     def test_sub_runs_sharing_a_slug_get_two_directories(
             self, tmp_path, monkeypatch, no_child_left):
@@ -688,6 +834,14 @@ class TestWriteCsv:
         assert cli_main(["propagate", "--config", path, "--out", out]) == 1
         assert "No space left" in capsys.readouterr().err
 
+    def test_unequal_columns_raise(self, tmp_path):
+        # a table gathers columns from several stages: none is cut short
+        path = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="unequal length"):
+            write_csv(str(path), ["t", "a", "b"],
+                      [np.arange(3.0), np.arange(3.0), np.arange(2.0)])
+        assert not path.exists()
+
     def test_format_and_line_endings(self, tmp_path):
         path = tmp_path / "x.csv"
         write_csv(str(path), ["t", "v"],
@@ -746,8 +900,7 @@ class TestCli:
         path = write_yaml(tmp_path, MINIMAL)
         out = str(tmp_path / "traj.csv")
         assert cli_main(["propagate", "--config", path, "--out", out]) == 0
-        header = open(out).readline().strip()
-        assert header == "t,qx,qy,px,py,energy"
+        assert header(out) == "t,qx,qy,px,py,energy"
 
     @pytest.mark.parametrize("change", [
         {"fit": {"window": "70, 300"}},
@@ -877,8 +1030,8 @@ class TestCli:
             record = json.load(fh)
         assert record["error"] == {"type": "MemoryError",
                                    "message": "Unable to allocate 8.00 TiB"}
-        # what the run wrote before the failure is kept and checksummed
-        assert "trajectory.csv" in record["manifest"]
+        # what the run gathered before the failure is kept and checksummed
+        assert "classical.csv" in record["manifest"]
 
     def test_engine_override_revalidates(self, tmp_path):
         # quantum engine needs a grid section; the override must not
@@ -932,6 +1085,28 @@ class TestCli:
         assert printed["exponent_or_rate"] == \
             f"{recorded['exponent_or_rate']:.6g}"
         assert printed["window"] == str(tuple(recorded["window"]))
+
+    def test_fit_csv_of_a_run_matches_fit_config(self, tmp_path, capsys):
+        with open(os.path.join(CONFIG_DIR, "chaotic_henon.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["integrator"]["n_steps"] = 6000
+        del data["bath"]["n_modes"]
+        path = write_yaml(tmp_path, data)
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(runs)]) == 0
+        (rundir,) = runs.iterdir()
+        with open(rundir / "record.json") as fh:
+            recorded = json.load(fh)["results"]["divergence_fit"]
+        capsys.readouterr()
+        printed = []
+        for source in (["--config", path],
+                       ["--csv", str(rundir / "classical.csv")]):
+            assert cli_main(["fit", *source, "--window",
+                             *map(repr, recorded["window"])]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith(f"kind: {recorded['kind']}\n")
 
     def test_fit_config_without_a_fit_exits_2(self, tmp_path, capsys):
         # the run ends at t = 6: the window holds no samples
