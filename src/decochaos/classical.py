@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainError, EscapeError, FitError
 from .models import HamiltonianModel, PhasePoint
-from .series import (DivergenceSeries, Trajectory, _check_step, _finite_real,
-                     cumulative_trapezoid)
+from .series import (DivergenceSeries, DriveDifference, Trajectory,
+                     _check_step, _finite_real, cumulative_trapezoid)
 
 __all__ = [
     "DEFAULT_ESCAPE_RADIUS",
@@ -46,20 +46,21 @@ _C2 = 0.5 * (_W1 + _W0)
 # step = drift(_C1) kick(_W1) drift(_C2) kick(_W0) drift(_C2) kick(_W1) drift(_C1)
 
 
-def _escape(t, qx, qy, px, py, buf, i, model):
-    state = PhasePoint(qx, qy, px, py) if all(
-        map(math.isfinite, (qx, qy, px, py))) else None
-    partial = None
-    if i >= 1:
-        tpart = t[:i]
-        zpart = buf[:i].copy()
-        epart = _energies(model, zpart)
-        partial = Trajectory(tpart, zpart, epart) if i >= 2 else None
+def _substeps(model, dt):
+    """The drift (a1, a2) and kick (b1, b0) coefficients of one step."""
+    inv_m = 1.0 / model.mass
+    return _C1 * dt * inv_m, _C2 * dt * inv_m, _W1 * dt, _W0 * dt
+
+
+def _escape(t, buf, i, model):
+    """Raise the EscapeError of step i >= 1, which left the radius."""
+    zpart = buf[:i].copy()
     raise EscapeError(
         f"trajectory escaped the domain radius at t={t[i]:g}",
-        time=float(t[i - 1]) if i >= 1 else 0.0,
-        state=PhasePoint.from_array(buf[i - 1]) if i >= 1 else state,
-        trajectory=partial,
+        time=float(t[i - 1]),
+        state=PhasePoint.from_array(buf[i - 1]),
+        trajectory=(Trajectory(t[:i], zpart, _energies(model, zpart))
+                    if i >= 2 else None),
     )
 
 
@@ -78,11 +79,7 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
     """
     _check_step(dt, n_steps)
     qx, qy, px, py = z0.qx, z0.qy, z0.px, z0.py
-    inv_m = 1.0 / model.mass
-    a1 = _C1 * dt * inv_m
-    a2 = _C2 * dt * inv_m
-    b1 = _W1 * dt
-    b0 = _W0 * dt
+    a1, a2, b1, b0 = _substeps(model, dt)
     force = model.force
     r2 = escape_radius * escape_radius
 
@@ -102,7 +99,7 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
         qx += a1 * px; qy += a1 * py
         # NaN fails the comparison too, so blowups are caught here
         if not (qx * qx + qy * qy <= r2):
-            _escape(t, qx, qy, px, py, buf, i, model)
+            _escape(t, buf, i, model)
         buf[i] = (qx, qy, px, py)
     return Trajectory(t, buf, _energies(model, buf))
 
@@ -114,11 +111,7 @@ def _tangent_steps(model, dt, state, n):
     shear q by p/m, kicks shear p by -Hessian(q) q.
     """
     qx, qy, px, py, dqx, dqy, dpx, dpy = state
-    inv_m = 1.0 / model.mass
-    a1 = _C1 * dt * inv_m
-    a2 = _C2 * dt * inv_m
-    b1 = _W1 * dt
-    b0 = _W0 * dt
+    a1, a2, b1, b0 = _substeps(model, dt)
     stages = ((a1, b1), (a2, b0), (a2, b1))
     force = model.force
     hess = model.hessian_xy
@@ -198,10 +191,9 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
 
 def divergence_from_trajectories(ta: Trajectory,
                                  tb: Trajectory) -> DivergenceSeries:
-    """Divergence series of two already-propagated orbits."""
-    dq = tb.positions - ta.positions
-    sq = np.sum(dq ** 2, axis=1)
-    D = cumulative_trapezoid(sq, ta.dt)
+    """Divergence series of two already-propagated orbits on one grid."""
+    dd = DriveDifference.from_trajectories(ta, tb)
+    D = cumulative_trapezoid(dd.squared_magnitude(), dd.dt)
     sep = np.sqrt(np.sum((tb.z - ta.z) ** 2, axis=1))
     e0a, e0b = ta.energy[0], tb.energy[0]
     scale = max(abs(e0a), abs(e0b), 1e-300)
@@ -220,15 +212,11 @@ def divergence_integral(model: HamiltonianModel, z0: PhasePoint, delta_z,
 
     delta_z = 0 is allowed and yields the identically zero series.
     """
-    if isinstance(delta_z, PhasePoint):
-        delta_z = delta_z.as_array()
-    delta_z = np.asarray(delta_z, dtype=float)
-    if delta_z.shape != (4,) or not np.all(np.isfinite(delta_z)):
-        raise DomainError("delta_z must be a finite 4-vector")
+    if not isinstance(delta_z, PhasePoint):
+        delta_z = PhasePoint.from_array(delta_z)
     ta = propagate(model, z0, dt, n_steps, escape_radius)
-    tb = (propagate(model, z0 + PhasePoint.from_array(delta_z), dt, n_steps,
-                    escape_radius)
-          if np.any(delta_z) else ta)
+    tb = (propagate(model, z0 + delta_z, dt, n_steps, escape_radius)
+          if delta_z.as_array().any() else ta)
     return divergence_from_trajectories(ta, tb)
 
 
@@ -262,15 +250,14 @@ def _linfit(x, y):
     return float(slope), float(intercept), r2
 
 
-def classify_scaling(series, window=None) -> ScalingFit:
+def classify_scaling(series: DivergenceSeries, window=None) -> ScalingFit:
     """Decide between power-law and exponential growth of D(t).
 
     Both models are fit by least squares on log D (against log t and
     against t respectively) over the window; the better r^2 wins. The
     window needs at least MIN_FIT_SAMPLES samples with D > 0.
     """
-    t = np.asarray(series.t, dtype=float)
-    D = np.asarray(series.D, dtype=float)
+    t, D = series.t, series.D
     if window is None:
         window = (float(t[0]), float(t[-1]))
     t_lo, t_hi = float(window[0]), float(window[1])

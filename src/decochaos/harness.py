@@ -61,6 +61,14 @@ def _real(value):
             and abs(value) <= sys.float_info.max)
 
 
+def _path_text(value):
+    """A str that os functions take as a path: fs-encodable, no NUL."""
+    try:
+        return isinstance(value, str) and b"\0" not in os.fsencode(value)
+    except UnicodeEncodeError:
+        return False
+
+
 def _key(name):
     return name.rpartition(".")[2]
 
@@ -256,12 +264,13 @@ def _parse_config(data: dict) -> ExperimentConfig:
     if engine not in ENGINES:
         errors.append(f"engine: {engine!r} not one of {ENGINES}")
     slug = data["slug"]
-    if slug is not None and not (isinstance(slug, str) and not any(
+    if slug is not None and not (_path_text(slug) and not any(
             s in slug for s in ("/", "\\", ".."))):
-        errors.append("slug: must be a string without '/', '\\' or '..'")
+        errors.append("slug: must be a path string without '/', '\\', '..' "
+                      "or NUL")
     output_dir = data["output_dir"]
-    if output_dir is not None and not isinstance(output_dir, str):
-        errors.append("output_dir: must be a path string")
+    if output_dir is not None and not _path_text(output_dir):
+        errors.append("output_dir: must be a path string without NUL")
 
     seed = model = initial = integ = lyap = grid = bath = None
     fit, ehren = FitSpec(), EhrenfestSpec()
@@ -301,9 +310,10 @@ def _parse_config(data: dict) -> ExperimentConfig:
         if ly is not None:
             own_dt = None if ly["dt"] is None else _positive(ly, "lyapunov.dt")
             total, renorm = ly.get("total_time"), ly.get("renorm_interval")
-            step = own_dt or (integ.dt if integ else 0.0)
-            if not (_real(total) and _real(renorm)
-                    and total >= 10 * renorm >= 100 * step > 0):
+            # no step: integrator.dt failed, and the 100*dt part with it
+            step = own_dt or (integ and integ.dt)
+            if not (_real(total) and _real(renorm) and total >= 10 * renorm > 0
+                    and (step is None or 10 * renorm >= 100 * step)):
                 raise ConfigError(["lyapunov: need total_time >= "
                                    "10*renorm_interval >= 100*dt"])
             # the convergence history holds two floats per block
@@ -381,7 +391,7 @@ def load_config(path) -> ExperimentConfig:
             raw = yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"]) from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from None
     return _parse_config(raw)
 
@@ -626,13 +636,11 @@ def _classical_pair(config, window=None) -> _OrbitPair:
         div = divergence_from_trajectories(traj, traj2)
         sat = detect_saturation(div, diam)
         t_end = sat if sat is not None else float(div.t[-1])
-        fit = None
-        if np.any(div.D > 0):
-            try:
-                fit = classify_scaling(div, window or config.fit.window
-                                       or (0.25 * t_end, t_end))
-            except FitError:
-                pass
+        try:
+            fit = classify_scaling(div, window or config.fit.window
+                                   or (0.25 * t_end, t_end))
+        except FitError:
+            fit = None
         flagged = expected is not None and (
             fit is None or fit.kind != expected or fit.ambiguous)
         attempts.append({"z": list(z_raw), "fit": _fit_to_dict(fit),

@@ -99,8 +99,8 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def total_energy(self, z: PhasePoint) -> float:
-        kinetic = (z.px ** 2 + z.py ** 2) / (2.0 * self.mass)
-        return kinetic + float(self.potential_xy(z.qx, z.qy))
+        return (self.kinetic_energy(z.px, z.py)
+                + float(self.potential_xy(z.qx, z.qy)))
 
     def kinetic_energy(self, px, py):
         return (px ** 2 + py ** 2) / (2.0 * self.mass)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,25 @@ def _check_step(dt, n_steps):
     _check_count("n_steps", n_steps)
 
 
+def _sampled(series, **shapes):
+    """Make series.t and each column in shapes float arrays holding one
+    sample of the column's trailing shape per time of a uniform grid; an
+    optional column (its field defaults to None) may be None."""
+    optional = {f.name for f in fields(series) if f.default is None}
+    series.t = np.asarray(series.t, dtype=float)
+    for name, shape in shapes.items():
+        column = getattr(series, name)
+        if column is None and name in optional:
+            continue
+        column = np.asarray(column, dtype=float)
+        if column.shape != (series.t.size, *shape):
+            raise DomainError(f"{type(series).__name__}.{name} must have "
+                              f"shape {(series.t.size, *shape)}, got "
+                              f"{column.shape}")
+        setattr(series, name, column)
+    uniform_dt(series.t)
+
+
 def cumulative_trapezoid(y: np.ndarray, dt: float) -> np.ndarray:
     """Running trapezoid integral of y on a uniform grid, starting at 0."""
     y = np.asarray(y, dtype=float)
@@ -78,18 +97,7 @@ class Trajectory:
     energy: np.ndarray     # (n,)
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        self.energy = np.asarray(self.energy, dtype=float)
-        if self.z.shape != (self.t.size, 4):
-            raise DomainError("trajectory z must have shape (n, 4)")
-        if self.energy.shape != self.t.shape:
-            raise DomainError("trajectory energy must match the time grid")
-        uniform_dt(self.t)
-
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
+        _sampled(self, z=(4,), energy=())
 
     @property
     def positions(self) -> np.ndarray:
@@ -117,15 +125,10 @@ class ExpectationSeries:
     var_p: np.ndarray | None = None   # (n, 2)
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.mean_q = np.asarray(self.mean_q, dtype=float)
-        self.var_q = np.asarray(self.var_q, dtype=float)
-        n = self.t.size
-        if self.mean_q.shape != (n, 2) or self.var_q.shape != (n, 2):
-            raise DomainError("expectation series must have (n, 2) moments")
-        if np.any(self.var_q < 0):
-            raise DomainError("position variances must be non-negative")
-        uniform_dt(self.t)
+        _sampled(self, mean_q=(2,), var_q=(2,), mean_p=(2,), var_p=(2,))
+        for var in (self.var_q, self.var_p):
+            if var is not None and np.any(var < 0):
+                raise DomainError("variances must be non-negative")
 
 
 @dataclass
@@ -139,13 +142,9 @@ class DivergenceSeries:
     energy_drift: np.ndarray | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.D = np.asarray(self.D, dtype=float)
-        if self.D.shape != self.t.shape:
-            raise DomainError("divergence D must match the time grid")
+        _sampled(self, D=(), separation=(), energy_drift=())
         if not np.all(np.isfinite(self.D)):
             raise DomainError("divergence D must be finite")
-        uniform_dt(self.t)
         if self.D[0] != 0.0:
             raise DomainError("divergence integral must start at zero")
         if np.any(np.diff(self.D) < 0):
@@ -161,12 +160,7 @@ class DriveDifference:
     df_y: np.ndarray
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.df_x = np.asarray(self.df_x, dtype=float)
-        self.df_y = np.asarray(self.df_y, dtype=float)
-        if self.df_x.shape != self.t.shape or self.df_y.shape != self.t.shape:
-            raise DomainError("drive difference components must match grid")
-        uniform_dt(self.t)
+        _sampled(self, df_x=(), df_y=())
 
     @property
     def dt(self) -> float:
@@ -204,13 +198,9 @@ class DecoherenceSeries:
     _SOURCES = ("asymptotic", "oracle")
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        if self.gamma.shape != self.t.shape:
-            raise DomainError("gamma must match the time grid")
+        _sampled(self, gamma=())
         if self.source not in self._SOURCES:
             raise DomainError(f"source must be one of {self._SOURCES}")
-        uniform_dt(self.t)
         if np.any(self.gamma < 0):
             raise DomainError("decoherence exponent must be non-negative")
         if self.source == "asymptotic" and np.any(np.diff(self.gamma) < 0):

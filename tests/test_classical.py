@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from decochaos.classical import (_tangent_steps, classify_scaling,
-                                 detect_saturation, divergence_integral,
-                                 max_lyapunov, position_diameter, propagate)
-from decochaos.errors import DomainError, EscapeError, FitError
+                                 detect_saturation,
+                                 divergence_from_trajectories,
+                                 divergence_integral, max_lyapunov,
+                                 position_diameter, propagate)
+from decochaos.errors import (DomainError, EscapeError, FitError,
+                              GridMismatchError)
 from decochaos.models import (Harmonic2D, HenonHeiles, InvertedHarmonic,
                               PhasePoint, PullenEdmonds, SeparableQuartic)
 from decochaos.series import DivergenceSeries
@@ -59,6 +62,21 @@ class TestPropagate:
         assert err.state.qx <= 10.0
         assert err.trajectory is not None
         assert err.trajectory.t[-1] == pytest.approx(err.time)
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_escape_at_an_early_step(self, step):
+        # free motion at unit speed leaves the radius-10 disc at step `step`
+        z0 = PhasePoint(10.005 - 0.01 * step, 0.0, 1.0, 0.0)
+        with pytest.raises(EscapeError) as exc:
+            propagate(SeparableQuartic(0.0, 0.0), z0, 0.01, 10,
+                      escape_radius=10.0)
+        err = exc.value
+        assert err.time == pytest.approx(0.01 * (step - 1))
+        if step == 1:
+            assert err.state == z0 and err.trajectory is None
+        else:
+            assert err.trajectory.t.size == 2
+            assert err.state == PhasePoint.from_array(err.trajectory.z[-1])
 
     def test_argument_validation(self):
         model = Harmonic2D(1.0, 1.0)
@@ -203,6 +221,22 @@ class TestMaxLyapunov:
 
 
 class TestDivergenceIntegral:
+    @pytest.mark.parametrize("dt_b, n_b", [(0.01, 200), (0.02, 100)],
+                             ids=["more-samples", "other-step"])
+    def test_orbits_on_different_grids_are_rejected(self, dt_b, n_b):
+        model, z0 = Harmonic2D(1.0, 1.0), PhasePoint(1.0, 0.0, 0.0, 0.5)
+        ta = propagate(model, z0, 0.01, 100)
+        with pytest.raises(GridMismatchError):
+            divergence_from_trajectories(ta, propagate(model, z0, dt_b, n_b))
+
+    @pytest.mark.parametrize("delta_z", [
+        [1e-6, 0.0, 0.0], [0.0, float("nan"), 0.0, 0.0]], ids=["3-vector",
+                                                              "nan"])
+    def test_malformed_delta_z_rejected(self, delta_z):
+        with pytest.raises(DomainError):
+            divergence_integral(Harmonic2D(1.0, 1.0), PhasePoint(1, 0, 0, 0),
+                                delta_z, 0.01, 10)
+
     def test_zero_displacement_gives_zero(self):
         series = divergence_integral(HenonHeiles(1.0), Z_CHAOS,
                                      np.zeros(4), 0.01, 500)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decochaos import classical, decoherence, harness
 from decochaos.cli import main as cli_main
@@ -222,8 +223,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=field):
             load_config(write_yaml(tmp_path, {**MINIMAL, **change}))
 
+    def test_failed_integrator_dt_is_the_only_error(self):
+        # the lyapunov section is valid; only its 100*dt part needs the dt
+        data = {**MINIMAL, "integrator": {"dt": -1, "n_steps": 200},
+                "lyapunov": {"total_time": 200.0, "renorm_interval": 2.0}}
+        with pytest.raises(ConfigError) as exc:
+            _parse_config(data)
+        assert [e.split(":")[0] for e in exc.value.errors] == [
+            "integrator.dt"]
+
 
 class TestRunExperiment:
+    def test_asymptotic_gamma_is_half_c_t_times_d(self, tmp_path):
+        # the high-temperature limit gamma = (C T / 2) D, bit for bit
+        cfg = load_config(os.path.join(CONFIG_DIR, "chaotic_henon.yaml"))
+        record = run_experiment(cfg, str(tmp_path))
+        assert record.error is None
+        D, gamma = read_columns(os.path.join(record.path, "classical.csv"),
+                                "D", "gamma_asymptotic")
+        np.testing.assert_array_equal(
+            gamma, 0.5 * cfg.bath.coupling * cfg.bath.temperature * D)
+
     def test_zero_displacement_yields_zero_gamma(self, tmp_path):
         data = copy.deepcopy(SMALL_RUN)
         data["initial"]["delta_z"] = [0.0, 0.0, 0.0, 0.0]
@@ -924,6 +944,23 @@ class TestCli:
         assert cli_main(["validate-config", "--config", path]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_bytes(yaml.safe_dump(MINIMAL).encode()
+                         + b'slug: "\xff\xfe"\n')
+        assert cli_main(["validate-config", "--config", str(path)]) == 1
+        assert f"cannot parse {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["slug", "output_dir"])
+    @pytest.mark.parametrize("value", ["run\0x", "run\ud800"],
+                             ids=["nul", "lone-surrogate"])
+    def test_path_no_file_system_takes_exits_1(self, tmp_path, capsys, key,
+                                               value):
+        # os.makedirs raises ValueError on either, so decohere would fail
+        path = write_yaml(tmp_path, {**MINIMAL, key: value})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert f"  - {key}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["model", "initial", "integrator",
                                          "lyapunov", "grid", "bath", "fit",
                                          "ehrenfest"])
@@ -1297,3 +1334,50 @@ def test_any_config_parses_or_raises_config_error(tmp_path_factory,
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
     path.write_text(yaml.safe_dump(data))
     assert cli_main(["validate-config", "--config", str(path)]) in (0, 1)
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+# the shipped configs, and FULL: a both config with a grid section
+FUZZ_BASES = [_shipped(name) for name in (
+    "regular_quartic.yaml", "chaotic_henon.yaml", "chaotic_henon_full.yaml")
+] + [FULL]
+_fuzz_values = st.one_of(
+    _values, st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["\0", "run\0", "a/\0b", "\ud800", "runs\udcff"]))
+
+
+@st.composite
+def _one_field_changed(draw):
+    """A FUZZ_BASES config with one field set or deleted; slug and
+    output_dir are drawn as often as all other fields together."""
+    data = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    path = draw(st.one_of(st.sampled_from([("slug",), ("output_dir",)]),
+                          st.sampled_from([p for p in _paths(data) if p])))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if draw(st.booleans()) and path[-1] in (
+            node if isinstance(node, dict) else range(len(node))):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = draw(_fuzz_values)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@example(data={**FULL, "slug": "run\0"})
+@example(data={**FULL, "output_dir": "runs\0"})
+@given(data=_one_field_changed())
+def test_accepted_config_names_a_run_directory_the_os_takes(data):
+    try:
+        config = _parse_config(data)
+    except ConfigError:
+        return
+    # a NUL or lone surrogate raises ValueError here, as in os.makedirs
+    with contextlib.suppress(OSError):
+        os.stat(os.path.join(config.output_dir or "runs", f"x-{config.slug}"))
