@@ -208,7 +208,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SimulationError as exc:
+    except (SimulationError, ChildProcessError) as exc:
+        # ChildProcessError: a forked helper died without a result
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

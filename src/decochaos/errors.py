@@ -23,7 +23,7 @@ class EscapeError(SimulationError):
 
     def __reduce__(self):
         # pickle rebuilds an exception from its constructor's arguments,
-        # as a forked child's exception crosses the pipe (harness._forked)
+        # as a forked child's exception crosses the pipe (harness._beside)
         return type(self), (str(self), self.time, self.state, self.trajectory)
 
 

@@ -268,6 +268,9 @@ def _parse_config(data: dict) -> ExperimentConfig:
             s in slug for s in ("/", "\\", ".."))):
         errors.append("slug: must be a path string without '/', '\\', '..' "
                       "or NUL")
+    elif slug is not None and len(os.fsencode(slug)) > 232:
+        # a file name holds 255 bytes: <22-character stamp>-<slug>
+        errors.append("slug: must be at most 232 bytes")
     output_dir = data["output_dir"]
     if output_dir is not None and not _path_text(output_dir):
         errors.append("output_dir: must be a path string without NUL")
@@ -399,61 +402,52 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _outcome(fn, args):
-    """(True, fn(*args)), or (False, the exception fn raised)."""
-    try:
-        return True, fn(*args)
-    except BaseException as exc:    # raised again by _settle
-        return False, exc
-
-
-def _settle(outcome):
-    ok, value = outcome
-    if not ok:
-        raise value
-    return value
-
-
-def _forked(fn, *args):
-    """Start fn(*args) in a forked child process and return a join() that
-    waits for it, then returns fn's result or raises fn's exception; both
-    come back pickled. Call join() once, also when the caller's own work
-    fails, so that no child outlives the caller. Fork only while no other
-    thread of this process runs. Where os.fork does not exist, fn runs
-    here and now."""
+def _beside(here, there, *args):
+    """(here(), there(*args)), with there(*args) run in a forked child
+    process while here() runs in this one; the child's result or exception
+    comes back pickled. The child is reaped also when here() fails, whose
+    exception is raised first, then the child's, then a ChildProcessError
+    if the child died without a result. Fork only while no other thread
+    runs. Without os.fork, here() runs, then there(*args), in this process."""
     if not hasattr(os, "fork"):
-        outcome = _outcome(fn, args)
-        return lambda: _settle(outcome)
+        return here(), there(*args)
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(read_end)
+            try:
+                outcome = True, there(*args)
+            except BaseException as exc:    # raised again in the parent
+                outcome = False, exc
             with open(write_end, "wb") as pipe:
-                pickle.dump(_outcome(fn, args), pipe, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)    # never back into the caller's stack
     os.close(write_end)
-
-    def join():
+    try:
+        mine = here()
+    finally:
         # read to the end before waiting: the child blocks on a result
         # larger than the pipe buffer until it is read
         with open(read_end, "rb") as pipe:
             data = pipe.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status:
-            raise ChildProcessError(f"forked {fn.__name__} ended with exit "
-                                    f"code {status} and no result")
-        return _settle(pickle.loads(data))
-    return join
+    if status:
+        raise ChildProcessError(f"forked {there.__name__} ended with exit "
+                                f"code {status} and no result")
+    ok, theirs = pickle.loads(data)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def write_csv(path, header, columns):
     """17 significant digit CSV of numeric columns with LF line endings.
 
-    A forked child (_forked) formats the second half of the rows into an
+    A forked child (_beside) formats the second half of the rows into an
     unlinked temporary file beside path while this process writes the
     header and the first half, then appends the child's half: the bytes
     of formatting every row in order.
@@ -471,12 +465,11 @@ def write_csv(path, header, columns):
 
     with open(path, "w", **text) as fh, tempfile.TemporaryFile(
             "w+", dir=os.path.dirname(path) or ".", **text) as tail:
-        join = _forked(rows, tail, n // 2, n)
-        try:
+        def first_half():    # after the fork: the child gets a clean fh
             fh.write(",".join(header) + "\n")
             rows(fh, 0, n // 2)
-        finally:
-            join()
+
+        _beside(first_half, rows, tail, n // 2, n)
         tail.seek(0)
         shutil.copyfileobj(tail, fh)
 
@@ -725,16 +718,9 @@ def _quantum_stage(config, run, pair):
              spec.sample_every)
     states = {tag: init_gaussian(grid, z, spec.widths) for tag, z in (
         ("z1", pair.z0), ("z2", pair.z0 + PhasePoint(*pair.delta)))}
-    # the packets are independent: z2 advances in a forked child while z1
-    # advances here, and a failure is raised in packet order
-    join = _forked(propagate_wavepacket, states["z2"], *steps)
-    outcome = {"z1": _outcome(propagate_wavepacket, (states["z1"], *steps)),
-               "z2": _outcome(join, ())}
 
-    series = {}
-    for tag in ("z1", "z2"):
-        exp_series, final = _settle(outcome[tag])
-        series[tag] = exp_series
+    def settle(tag, exp_series, final):
+        """Record a packet's columns and snapshot; return its series."""
         mean, var = exp_series.mean_q, exp_series.var_q
         run.columns("quantum.csv", t=exp_series.t, **{
             f"{tag}_mean_qx": mean[:, 0], f"{tag}_mean_qy": mean[:, 1],
@@ -743,19 +729,26 @@ def _quantum_stage(config, run, pair):
             snap = f"psi_{tag}.bin"
             save_wavepacket(final, os.path.join(run.path, snap))
             run.files.extend([snap, snap + ".hdr"])
+        return exp_series
+
+    # the packets are independent: z2 advances in a forked child while z1
+    # advances and settles here, so a failing z2 leaves z1's columns
+    z1, packet = _beside(lambda: settle("z1", *propagate_wavepacket(
+        states["z1"], *steps)), propagate_wavepacket, states["z2"], *steps)
+    z2 = settle("z2", *packet)
 
     threshold = (config.ehrenfest.threshold
                  or DEFAULT_THRESHOLD_FRACTION * pair.diam)
     run.results.update(ehrenfest_break_time=ehrenfest_break_time(
-        series["z1"], pair.traj, threshold), ehrenfest_threshold=threshold)
+        z1, pair.traj, threshold), ehrenfest_threshold=threshold)
 
     if config.bath is not None:
-        est = hartree_error(series["z1"], config.bath.coupling,
-                            config.bath.omega_max, float(series["z1"].t[-1]))
+        est = hartree_error(z1, config.bath.coupling, config.bath.omega_max,
+                            float(z1.t[-1]))
         run.results["hartree_error"] = {"t": est.t, "value": est.value,
                                         "omega_max": est.omega_max,
                                         "warning": est.warning}
-    return DriveDifference.from_expectations(series["z1"], series["z2"])
+    return DriveDifference.from_expectations(z1, z2)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
@@ -789,7 +782,7 @@ def _run(config, out_dir):
             _gamma_stage(config, run, _quantum_stage(config, run, pair),
                          "quantum")
     except (SimulationError, MemoryError, ChildProcessError) as exc:
-        # ChildProcessError: a forked helper (_forked) died without a result
+        # ChildProcessError: a forked helper (_beside) died without a result
         error = {"type": type(exc).__name__, "message": str(exc)}
     return run.record(config.to_dict(), error), gamma
 
@@ -835,14 +828,11 @@ def compare_command(config_regular: ExperimentConfig,
 
     started = time.perf_counter()
     # the chaotic sub-run runs in a forked child beside the regular one
-    join = _forked(_run, config_chaotic, out_dir)
     try:
-        regular = _run(config_regular, out_dir)
-    finally:
-        try:
-            chaotic = join()
-        except ChildProcessError as exc:
-            raise SimulationError(f"chaotic run failed: {exc}") from None
+        regular, chaotic = _beside(lambda: _run(config_regular, out_dir),
+                                   _run, config_chaotic, out_dir)
+    except ChildProcessError as exc:
+        raise SimulationError(f"chaotic run failed: {exc}") from None
     report = {}
 
     def regime(cfg, label, outcome):

@@ -94,6 +94,10 @@ class Grid2D:
         self.k2 = self.KX ** 2 + self.KY ** 2
         return getattr(self, name)
 
+    def __reduce__(self):
+        # the inputs, not the meshes, which are rebuilt on first use
+        return Grid2D, (self.nx, self.ny, self.lx, self.ly, self.hbar)
+
     @property
     def cell_area(self) -> float:
         return self.dx * self.dy

@@ -434,13 +434,13 @@ class TestRunExperiment:
     def test_dead_csv_half_is_recorded(self, tmp_path, monkeypatch,
                                        no_child_left):
         # a classical run forks only write_csv's second halves
-        real = harness._forked
+        real = harness._beside
 
         def die(*_args):
             os._exit(3)
 
-        monkeypatch.setattr(harness, "_forked",
-                            lambda fn, *args: real(die, *args))
+        monkeypatch.setattr(harness, "_beside",
+                            lambda here, _, *args: real(here, die, *args))
         path = write_yaml(tmp_path, SMALL_RUN)
         root = tmp_path / "runs"
         assert cli_main(["decohere", "--config", path, "--out",
@@ -731,7 +731,7 @@ class TestCompareCommand:
     def test_dead_csv_half_of_the_comparison_exits_2(
             self, tmp_path, monkeypatch, capsys, no_child_left):
         # armed once both sub-runs are done: only gamma_ratio.csv's half dies
-        armed, real_forked = [], harness._forked
+        armed, real_beside = [], harness._beside
         real_compare = harness.compare_regimes
 
         def die(*_args):
@@ -742,8 +742,8 @@ class TestCompareCommand:
             return real_compare(*args)
 
         monkeypatch.setattr(harness, "compare_regimes", compare)
-        monkeypatch.setattr(harness, "_forked", lambda fn, *args: real_forked(
-            die if armed else fn, *args))
+        monkeypatch.setattr(harness, "_beside", lambda here, fn, *args:
+                            real_beside(here, die if armed else fn, *args))
         path = write_yaml(tmp_path, SMALL_RUN)
         runs = tmp_path / "runs"
         assert cli_main(["compare", "--config", path, "--config-chaotic",
@@ -788,20 +788,26 @@ def single_process_csv(header, columns):
         row % values for values in zip(*columns))).encode("ascii")
 
 
+def nothing():
+    return None
+
+
 class TestForked:
+    """harness._beside: here() in this process, there(*args) in a forked
+    child."""
+
     def test_result_larger_than_the_pipe_buffer(self, no_child_left):
         values = np.arange(100_000.0)    # 800 kB pickled
-        signal.alarm(30)    # SIGALRM ends the run if join() deadlocks
+        signal.alarm(30)    # SIGALRM ends the run if the join deadlocks
         try:
-            result = harness._forked(np.copy, values)()
+            result = harness._beside(nothing, np.copy, values)[1]
         finally:
             signal.alarm(0)
         np.testing.assert_array_equal(result, values)
 
     def test_child_ending_without_a_result(self, no_child_left):
-        join = harness._forked(os._exit, 3)
         with pytest.raises(ChildProcessError, match="exit code 3"):
-            join()
+            harness._beside(nothing, os._exit, 3)
 
     @pytest.mark.parametrize("exc", [
         EscapeError("escaped", 1.5, PhasePoint(1.0, 0.0, 0.0, 0.5)),
@@ -812,10 +818,49 @@ class TestForked:
             raise exc
 
         with pytest.raises(type(exc)) as caught:
-            harness._forked(fail)()
+            harness._beside(nothing, fail)
         assert type(caught.value) is type(exc)
         assert str(caught.value) == str(exc)
         assert vars(caught.value) == vars(exc)
+
+    def test_here_failing_is_raised_and_the_child_reaped(self,
+                                                         no_child_left):
+        def fail():
+            raise EscapeError("here escaped", 2.0, None)
+
+        with pytest.raises(EscapeError, match="here escaped"):
+            harness._beside(fail, np.copy, np.arange(100_000.0))
+
+    @pytest.mark.parametrize("there", ["raises", "dies"])
+    def test_here_failing_wins_over_the_child(self, no_child_left, there):
+        def here():
+            raise ConfigError(["here: bad"])
+
+        def fail():
+            raise EscapeError("there escaped", 1.0, None)
+
+        with pytest.raises(ConfigError, match="here: bad"):
+            if there == "raises":
+                harness._beside(here, fail)
+            else:
+                harness._beside(here, os._exit, 3)
+
+    def test_without_fork_here_runs_then_there(self, monkeypatch,
+                                               no_child_left):
+        def step(order, name, value):
+            order.append(name)
+            return value * 2
+
+        forked_order = []
+        forked = harness._beside(lambda: step(forked_order, "here", 1),
+                                 step, forked_order, "there", 2)
+        monkeypatch.delattr(os, "fork")
+        order = []
+        inline = harness._beside(lambda: step(order, "here", 1),
+                                 step, order, "there", 2)
+        assert order == ["here", "there"]
+        assert forked_order == ["here"]    # there appended in the child
+        assert inline == forked == (2, 4)
 
 
 class TestWriteCsv:
@@ -853,6 +898,22 @@ class TestWriteCsv:
         path = write_yaml(tmp_path, MINIMAL)
         assert cli_main(["propagate", "--config", path, "--out", out]) == 1
         assert "No space left" in capsys.readouterr().err
+
+    def test_a_dead_half_exits_2(self, tmp_path, monkeypatch, capsys,
+                                 no_child_left):
+        real = harness._beside
+
+        def die(*_args):
+            os._exit(3)
+
+        monkeypatch.setattr(harness, "_beside",
+                            lambda here, _, *args: real(here, die, *args))
+        path = write_yaml(tmp_path, MINIMAL)
+        out = str(tmp_path / "x.csv")
+        assert cli_main(["propagate", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "runtime failure: forked die ended with exit code 3 and no "
+            "result\n")
 
     def test_unequal_columns_raise(self, tmp_path):
         # a table gathers columns from several stages: none is cut short
@@ -960,6 +1021,23 @@ class TestCli:
         path = write_yaml(tmp_path, {**MINIMAL, key: value})
         assert cli_main(["validate-config", "--config", path]) == 1
         assert f"  - {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("slug", ["s" * 232, "s" * 233, "\u00e9" * 117],
+                             ids=["232-bytes", "233-bytes", "234-utf8-bytes"])
+    def test_slug_fits_a_run_directory_name(self, tmp_path, capsys, slug):
+        # the run directory is <22-character stamp>-<slug>, at most the
+        # 255 bytes of a file name
+        path = write_yaml(tmp_path, {**MINIMAL, "slug": slug})
+        if len(os.fsencode(slug)) <= 232:
+            assert cli_main(["validate-config", "--config", path]) == 0
+            assert cli_main(["decohere", "--config", path, "--out",
+                             str(tmp_path / "runs")]) == 0
+            [run_dir] = (tmp_path / "runs").iterdir()
+            assert len(os.fsencode(run_dir.name)) == 255
+        else:
+            assert cli_main(["validate-config", "--config", path]) == 1
+            assert "  - slug: must be at most 232 bytes" in \
+                capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["model", "initial", "integrator",
                                          "lyapunov", "grid", "bath", "fit",

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ class TestGrid:
         grid = Grid2D(2 ** 20, 2 ** 20, 10.0, 10.0)
         assert grid.gaussian_widths([0.5, 0.5]) == (0.5, 0.5)
         assert not {"X", "Y", "KX", "KY", "k2"} & set(vars(grid))
+
+    def test_state_pickles_its_grid_as_the_five_inputs(self):
+        grid = Grid2D(128, 128, 12.0, 12.0, hbar_eff=0.5)
+        state = init_gaussian(grid, PhasePoint(0.73, -0.41, 0.3, -0.2),
+                              (0.6, 0.8))
+        assert {"X", "Y", "KX", "KY", "k2"} <= set(vars(grid))
+        data = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+        # the amplitudes, 16 * 128^2 bytes, and little else
+        assert len(data) < 16 * 128 * 128 + 1024
+        back = pickle.loads(data)
+        assert back.grid == grid
+        assert not {"X", "Y", "KX", "KY", "k2"} & set(vars(back.grid))
+        assert back.psi.dtype == state.psi.dtype
+        assert back.psi.tobytes() == state.psi.tobytes()
+        assert back.t == state.t
+        np.testing.assert_array_equal(back.grid.k2, grid.k2)
 
     def test_cell_geometry(self, grid64):
         assert grid64.dx == pytest.approx(12.0 / 64)
