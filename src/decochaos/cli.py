@@ -20,18 +20,11 @@ from .series import DivergenceSeries
 
 
 def _load(args, attr="config"):
-    """The config file args.<attr>, with the --seed and --engine
+    """The config file args.<attr>, validated with the --seed and --engine
     overrides of the commands that take them."""
-    config = load_config(getattr(args, attr))
-    changes = {key: getattr(args, key) for key in ("seed", "engine")
-               if getattr(args, key, None) is not None}
-    if changes:
-        # rebuild through the validator so overrides cannot bypass
-        # cross-field constraints (e.g. quantum engines need a grid)
-        from .harness import ExperimentConfig
-
-        config = ExperimentConfig.from_dict({**config.to_dict(), **changes})
-    return config
+    return load_config(getattr(args, attr), **{
+        key: getattr(args, key) for key in ("seed", "engine")
+        if getattr(args, key, None) is not None})
 
 
 def _writable(path):

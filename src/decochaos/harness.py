@@ -360,6 +360,15 @@ def _parse_config(data: dict) -> ExperimentConfig:
                 sd.check_drive_step(integ.dt * grid.sample_every,
                                     "grid.sample_every: quantum drive step "
                                     "dt*sample_every")
+            if n_modes is not None and integ is not None:
+                # the discrete bath's lag kernel returns after 2 pi / d omega
+                span = integ.n_steps * integ.dt
+                recur = 2.0 * math.pi * n_modes / sd.omega_max
+                if span >= recur:
+                    raise ConfigError([
+                        f"bath.n_modes: {n_modes} modes recur at "
+                        f"2*pi*n_modes/omega_max = {recur:g}, within the "
+                        f"run's n_steps*dt = {span:g}"])
             bath = BathSpec(sd.coupling, sd.omega_max, temperature, n_modes)
 
     with section("fit"):
@@ -387,8 +396,9 @@ def _parse_config(data: dict) -> ExperimentConfig:
         ehrenfest=ehren, output_dir=output_dir, slug=slug)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a YAML (or JSON) experiment description."""
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Parse and validate a YAML (or JSON) experiment description, each
+    top-level key in ``overrides`` replacing the file's before validation."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -396,7 +406,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError([f"config file not found: {path}"]) from None
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from None
-    return _parse_config(raw)
+    return _parse_config({**raw, **overrides} if isinstance(raw, dict)
+                         else raw)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +688,10 @@ def _classical_stage(config, run, pair):
             "renorm_interval": est.renorm_interval,
             "total_time": est.total_time,
         }
+        # the paper's claim: an exponential divergence grows at 2 lambda
+        if fit and fit.kind == "exponential" and est.lambda_max > 0:
+            run.results["rate_over_2lambda"] = (fit.exponent_or_rate
+                                                / (2.0 * est.lambda_max))
         run.columns("lyapunov.csv", t=est.convergence[:, 0],
                     lambda_running=est.convergence[:, 1])
 

@@ -60,9 +60,9 @@ class Grid2D:
     hbar_eff : float
         Effective Planck constant used by every operator on this grid.
 
-    The position and wavenumber meshes X, Y, KX, KY and k2 are built on
-    first use, so a grid made only to validate its inputs allocates
-    nothing that grows with nx * ny.
+    The grid holds no arrays: positions() and wavenumbers() build the
+    axes on each call, as an (nx, 1) column and a (1, ny) row that
+    broadcast to the full grid.
     """
 
     def __init__(self, nx: int, ny: int, lx: float, ly: float,
@@ -81,22 +81,18 @@ class Grid2D:
         self.dx = self.lx / self.nx
         self.dy = self.ly / self.ny
 
-    def __getattr__(self, name):
-        # called only for attributes not set yet: build every mesh once
-        if name not in ("X", "Y", "KX", "KY", "k2"):
-            raise AttributeError(name)
+    def positions(self) -> tuple:
+        """(x, y): the cell positions, x as an (nx, 1) column and y as a
+        (1, ny) row."""
         x = (np.arange(self.nx) - self.nx // 2) * self.dx
         y = (np.arange(self.ny) - self.ny // 2) * self.dy
-        self.X, self.Y = np.meshgrid(x, y, indexing="ij")
+        return x[:, None], y[None, :]
+
+    def wavenumbers(self) -> tuple:
+        """(kx, ky) in numpy's FFT order, shaped as positions()."""
         kx = 2.0 * math.pi * np.fft.fftfreq(self.nx, d=self.dx)
         ky = 2.0 * math.pi * np.fft.fftfreq(self.ny, d=self.dy)
-        self.KX, self.KY = np.meshgrid(kx, ky, indexing="ij")
-        self.k2 = self.KX ** 2 + self.KY ** 2
-        return getattr(self, name)
-
-    def __reduce__(self):
-        # the inputs, not the meshes, which are rebuilt on first use
-        return Grid2D, (self.nx, self.ny, self.lx, self.ly, self.hbar)
+        return kx[:, None], ky[None, :]
 
     @property
     def cell_area(self) -> float:
@@ -143,32 +139,21 @@ def init_gaussian(grid: Grid2D, z: PhasePoint, widths) -> WavepacketState:
     widths (Grid2D.gaussian_widths).
     """
     sx, sy = grid.gaussian_widths(widths)
-    dx_ = grid.X - z.qx
-    dy_ = grid.Y - z.qy
-    phase = (z.px * grid.X + z.py * grid.Y) / grid.hbar
-    psi = np.exp(-dx_ ** 2 / (4.0 * sx * sx) - dy_ ** 2 / (4.0 * sy * sy)
-                 + 1j * phase)
+    x, y = grid.positions()
+    phase = (z.px * x + z.py * y) / grid.hbar
+    psi = np.exp(-(x - z.qx) ** 2 / (4.0 * sx * sx)
+                 - (y - z.qy) ** 2 / (4.0 * sy * sy) + 1j * phase)
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * grid.cell_area)
     return WavepacketState(grid, psi, 0.0)
 
 
-def _position_moments(grid, rho):
-    mx = float(np.sum(rho * grid.X))
-    my = float(np.sum(rho * grid.Y))
-    vx = float(np.sum(rho * (grid.X - mx) ** 2))
-    vy = float(np.sum(rho * (grid.Y - my) ** 2))
-    return mx, my, vx, vy
-
-
-def _momentum_moments(grid, psi):
-    phi = np.fft.fft2(psi)
-    w = phi.real ** 2 + phi.imag ** 2
-    w /= np.sum(w)
-    px = grid.hbar * float(np.sum(w * grid.KX))
-    py = grid.hbar * float(np.sum(w * grid.KY))
-    vx = float(np.sum(w * (grid.hbar * grid.KX - px) ** 2))
-    vy = float(np.sum(w * (grid.hbar * grid.KY - py) ** 2))
-    return px, py, vx, vy
+def _moments(w, u, v):
+    """((mean u, mean v), (variance of u, variance of v)) under the
+    weights w, which sum to one; u and v broadcast against w."""
+    mu = float(np.sum(w * u))
+    mv = float(np.sum(w * v))
+    return (mu, mv), (float(np.sum(w * (u - mu) ** 2)),
+                      float(np.sum(w * (v - mv) ** 2)))
 
 
 def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
@@ -193,11 +178,13 @@ def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
         raise DomainError("sample_every must divide n_steps")
     grid = state.grid
     hbar = grid.hbar
+    x, y = grid.positions()
+    kx, ky = grid.wavenumbers()
     # exp(-0.5j * dt * V / hbar), built in place in one complex array
-    half_v = -0.5j * dt * model.potential_xy(grid.X, grid.Y)
+    half_v = -0.5j * dt * model.potential_xy(x, y)
     half_v /= hbar
     np.exp(half_v, out=half_v)
-    kinetic = np.exp(-0.5j * dt * hbar * grid.k2 / model.mass)
+    kinetic = np.exp(-0.5j * dt * hbar * (kx ** 2 + ky ** 2) / model.mass)
 
     n_samples = n_steps // sample_every + 1
     t = state.t + dt * sample_every * np.arange(n_samples)
@@ -211,13 +198,12 @@ def propagate_wavepacket(state: WavepacketState, model: HamiltonianModel,
     def record(idx):
         density = psi.real ** 2 + psi.imag ** 2
         rho = density * grid.cell_area
-        mx, my, vx, vy = _position_moments(grid, rho)
-        mean_q[idx] = (mx, my)
-        var_q[idx] = (vx, vy)
+        mean_q[idx], var_q[idx] = _moments(rho, x, y)
         if track_momentum:
-            px, py, vpx, vpy = _momentum_moments(grid, psi)
-            mean_p[idx] = (px, py)
-            var_p[idx] = (vpx, vpy)
+            phi = np.fft.fft2(psi)
+            w = phi.real ** 2 + phi.imag ** 2
+            w /= np.sum(w)
+            mean_p[idx], var_p[idx] = _moments(w, hbar * kx, hbar * ky)
         nrm = float(np.sum(density) * grid.cell_area)
         if abs(nrm - 1.0) > NORM_DRIFT_TOL:
             raise NormDriftError(

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import os
 import signal
 import subprocess
@@ -222,6 +223,42 @@ class TestLoadConfig:
     def test_boundary_values_rejected(self, tmp_path, change, field):
         with pytest.raises(ConfigError, match=field):
             load_config(write_yaml(tmp_path, {**MINIMAL, **change}))
+
+    def test_overrides_keep_the_root_rule(self, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- 1\n")
+        with pytest.raises(ConfigError, match="config root must be a mapping"):
+            load_config(str(path), seed=1)
+
+    @pytest.mark.parametrize("n_modes", [20, 40, 190])
+    def test_bath_that_recurs_within_the_run_is_rejected(
+            self, tmp_path, capsys, n_modes):
+        # the lag kernel of n modes up to omega_max = 10 returns at
+        # 2 pi n / 10; the run spans 24000 * 0.005 = 120
+        data = _shipped("chaotic_henon.yaml")
+        data["bath"]["n_modes"] = n_modes
+        with pytest.raises(ConfigError) as exc:
+            _parse_config(data)
+        (message,) = exc.value.errors
+        assert message.startswith("bath.n_modes: ")
+        assert f"{2 * math.pi * n_modes / 10:g}" in message
+        assert "n_steps*dt = 120" in message
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", write_yaml(tmp_path, data),
+                         "--out", str(runs)]) == 1
+        assert f"  - {message}" in capsys.readouterr().err
+        assert not runs.exists()
+
+    def test_bath_that_recurs_after_the_run_is_accepted(self):
+        data = _shipped("chaotic_henon.yaml")
+        data["bath"]["n_modes"] = 191      # recurs at 120.01
+        assert _parse_config(data).bath.n_modes == 191
+
+    @pytest.mark.parametrize("name", ["regular_quartic.yaml",
+                                      "chaotic_henon.yaml",
+                                      "chaotic_henon_full.yaml"])
+    def test_shipped_configs_pass_the_recurrence_rule(self, name):
+        load_config(os.path.join(CONFIG_DIR, name))
 
     def test_failed_integrator_dt_is_the_only_error(self):
         # the lyapunov section is valid; only its 100*dt part needs the dt
@@ -471,6 +508,26 @@ class TestRunExperiment:
         record = run_experiment(cfg, str(tmp_path / "runs"))
         reloaded = load_config(os.path.join(record.path, "config.snapshot"))
         assert reloaded == cfg
+
+    @pytest.mark.parametrize("name, window, kind", [
+        ("chaotic_henon.yaml", None, "exponential"),
+        ("regular_quartic.yaml", [30.0, 120.0], "power_law")])
+    def test_rate_over_2lambda_for_an_exponential_fit(self, tmp_path, name,
+                                                      window, kind):
+        data = _shipped(name)
+        data["integrator"]["n_steps"] = 24000
+        data["bath"].pop("n_modes", None)
+        data["fit"]["window"] = window
+        data["lyapunov"] = {"total_time": 200.0, "renorm_interval": 2.0}
+        record = run_experiment(_parse_config(data), str(tmp_path))
+        res = record.results
+        assert res["divergence_fit"]["kind"] == kind
+        if kind == "exponential":
+            assert res["rate_over_2lambda"] == (
+                res["divergence_fit"]["exponent_or_rate"]
+                / (2 * res["lyapunov"]["lambda_max"]))
+        else:
+            assert "rate_over_2lambda" not in res
 
     def test_record_content_and_manifest(self, tmp_path):
         cfg = load_config(os.path.join(CONFIG_DIR, "chaotic_henon_full.yaml"))
@@ -1155,6 +1212,23 @@ class TestCli:
         code = cli_main(["decohere", "--config", path, "--engine", "quantum",
                          "--out", str(tmp_path / "runs")])
         assert code == 1
+
+    @pytest.mark.parametrize("change, option", [
+        ({"engine": "quantum"}, ["--engine", "classical"]),
+        ({"seed": -1}, ["--seed", "3"]),
+    ], ids=["engine-without-grid", "seed-negative"])
+    def test_override_rescues_the_key_it_replaces(self, tmp_path, capsys,
+                                                 change, option):
+        # the file is invalid only in the key the option replaces
+        path = write_yaml(tmp_path, {**SMALL_RUN, **change})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out", str(runs),
+                         *option]) == 0
+        (rundir,) = os.listdir(runs)
+        snapshot = yaml.safe_load(open(runs / rundir / "config.snapshot"))
+        key, value = option[0][2:], yaml.safe_load(option[1])
+        assert snapshot[key] == value
 
     def test_fit_from_csv(self, tmp_path, capsys):
         t = np.linspace(0.0, 10.0, 401)

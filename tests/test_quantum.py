@@ -6,9 +6,9 @@ import pytest
 from decochaos.classical import position_diameter, propagate
 from decochaos.errors import (BoundaryLeakError, DomainError, GridError,
                               GridMismatchError)
-from decochaos.models import (Harmonic2D, PhasePoint, PullenEdmonds,
-                              SeparableQuartic)
-from decochaos.quantum import (Grid2D, ehrenfest_break_time,
+from decochaos.models import (MODEL_FAMILIES, Harmonic2D, PhasePoint,
+                              PullenEdmonds, SeparableQuartic, make_model)
+from decochaos.quantum import (Grid2D, _moments, ehrenfest_break_time,
                                init_gaussian, load_wavepacket,
                                propagate_wavepacket, save_wavepacket)
 from decochaos.series import ExpectationSeries, Trajectory
@@ -54,7 +54,7 @@ class TestGrid:
         grid = Grid2D(128, 128, 12.0, 12.0, hbar_eff=0.5)
         state = init_gaussian(grid, PhasePoint(0.73, -0.41, 0.3, -0.2),
                               (0.6, 0.8))
-        assert {"X", "Y", "KX", "KY", "k2"} <= set(vars(grid))
+        assert not any(isinstance(v, np.ndarray) for v in vars(grid).values())
         data = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
         # the amplitudes, 16 * 128^2 bytes, and little else
         assert len(data) < 16 * 128 * 128 + 1024
@@ -64,11 +64,76 @@ class TestGrid:
         assert back.psi.dtype == state.psi.dtype
         assert back.psi.tobytes() == state.psi.tobytes()
         assert back.t == state.t
-        np.testing.assert_array_equal(back.grid.k2, grid.k2)
+        for a, b in zip(back.grid.wavenumbers(), grid.wavenumbers()):
+            np.testing.assert_array_equal(a, b)
 
     def test_cell_geometry(self, grid64):
         assert grid64.dx == pytest.approx(12.0 / 64)
         assert grid64.cell_area == pytest.approx((12.0 / 64) ** 2)
+
+
+def mesh_reference(grid):
+    """The full-grid position and wavenumber meshes X, Y, KX, KY."""
+    x = (np.arange(grid.nx) - grid.nx // 2) * grid.dx
+    y = (np.arange(grid.ny) - grid.ny // 2) * grid.dy
+    kx = 2.0 * np.pi * np.fft.fftfreq(grid.nx, d=grid.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(grid.ny, d=grid.dy)
+    return (*np.meshgrid(x, y, indexing="ij"),
+            *np.meshgrid(kx, ky, indexing="ij"))
+
+
+class TestBroadcastAxes:
+    """The grid's broadcast axes give every grid point the operands that
+    full meshes give it, so each result keeps its bits."""
+
+    grid = Grid2D(128, 64, 12.0, 10.0, hbar_eff=0.5)
+    z = PhasePoint(0.73, -0.41, 0.3, -0.2)
+
+    def test_axes_are_the_meshes(self):
+        X, Y, KX, KY = mesh_reference(self.grid)
+        x, y = self.grid.positions()
+        kx, ky = self.grid.wavenumbers()
+        assert x.shape == kx.shape == (128, 1)
+        assert y.shape == ky.shape == (1, 64)
+        for axis, mesh in ((x, X), (y, Y), (kx, KX), (ky, KY)):
+            assert np.broadcast_to(axis, mesh.shape).tobytes() == \
+                mesh.tobytes()
+
+    def test_init_gaussian_bits(self):
+        X, Y, _, _ = mesh_reference(self.grid)
+        z, (sx, sy) = self.z, (0.6, 0.8)
+        psi = np.exp(-(X - z.qx) ** 2 / (4.0 * sx * sx)
+                     - (Y - z.qy) ** 2 / (4.0 * sy * sy)
+                     + 1j * (z.px * X + z.py * Y) / self.grid.hbar)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * self.grid.cell_area)
+        state = init_gaussian(self.grid, z, (sx, sy))
+        assert state.psi.shape == psi.shape
+        assert state.psi.tobytes() == psi.tobytes()
+
+    @pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+    def test_potential_bits(self, family):
+        model = make_model(family, None, 0.7)
+        X, Y, _, _ = mesh_reference(self.grid)
+        V = model.potential_xy(*self.grid.positions())
+        assert V.shape == X.shape
+        assert V.tobytes() == model.potential_xy(X, Y).tobytes()
+
+    def test_position_moments_bits(self):
+        X, Y, _, _ = mesh_reference(self.grid)
+        psi = init_gaussian(self.grid, self.z, (0.6, 0.8)).psi
+        rho = (psi.real ** 2 + psi.imag ** 2) * self.grid.cell_area
+        mx, my = float(np.sum(rho * X)), float(np.sum(rho * Y))
+        assert _moments(rho, *self.grid.positions()) == (
+            (mx, my), (float(np.sum(rho * (X - mx) ** 2)),
+                       float(np.sum(rho * (Y - my) ** 2))))
+
+    @pytest.mark.parametrize("track_momentum", [False, True])
+    def test_grid_holds_no_array_after_use(self, track_momentum):
+        grid = Grid2D(64, 64, 12.0, 12.0)
+        state = init_gaussian(grid, PhasePoint(0.5, 0, 0, 0.3), (0.5, 0.5))
+        propagate_wavepacket(state, Harmonic2D(1, 1), 1e-3, 4,
+                             track_momentum=track_momentum)
+        assert not any(isinstance(v, np.ndarray) for v in vars(grid).values())
 
 
 class TestInitGaussian:
@@ -76,17 +141,19 @@ class TestInitGaussian:
         z = PhasePoint(0.73, -0.41, 0.3, -0.2)
         state = init_gaussian(grid128, z, (SIGMA_COHERENT, SIGMA_COHERENT))
         rho = np.abs(state.psi) ** 2 * grid128.cell_area
-        assert np.sum(rho * grid128.X) == pytest.approx(z.qx, abs=1e-10)
-        assert np.sum(rho * grid128.Y) == pytest.approx(z.qy, abs=1e-10)
+        x, y = grid128.positions()
+        assert np.sum(rho * x) == pytest.approx(z.qx, abs=1e-10)
+        assert np.sum(rho * y) == pytest.approx(z.qy, abs=1e-10)
 
     def test_variance_matches_width(self, grid128):
         state = init_gaussian(grid128, PhasePoint(0.5, 0.0, 0.0, 0.0),
                               (0.6, 0.8))
         rho = np.abs(state.psi) ** 2 * grid128.cell_area
-        mx = np.sum(rho * grid128.X)
-        vx = np.sum(rho * (grid128.X - mx) ** 2)
-        my = np.sum(rho * grid128.Y)
-        vy = np.sum(rho * (grid128.Y - my) ** 2)
+        x, y = grid128.positions()
+        mx = np.sum(rho * x)
+        vx = np.sum(rho * (x - mx) ** 2)
+        my = np.sum(rho * y)
+        vy = np.sum(rho * (y - my) ** 2)
         assert vx == pytest.approx(0.36, abs=1e-8)
         assert vy == pytest.approx(0.64, abs=1e-8)
 
@@ -159,11 +226,13 @@ class TestPropagation:
 
         def energy(s):
             g = s.grid
-            V = model.potential_xy(g.X, g.Y)
+            V = model.potential_xy(*g.positions())
+            kx, ky = g.wavenumbers()
             phi = np.fft.fft2(s.psi)
             w = np.abs(phi) ** 2
             w /= w.sum()
-            kinetic = np.sum(w * g.hbar ** 2 * g.k2) / (2 * model.mass)
+            kinetic = (np.sum(w * g.hbar ** 2 * (kx ** 2 + ky ** 2))
+                       / (2 * model.mass))
             return kinetic + np.sum(np.abs(s.psi) ** 2 * V) * g.cell_area
 
         e0 = energy(state)
@@ -209,9 +278,11 @@ class TestPropagation:
         dt, n = 0.01, 40
         _, final = propagate_wavepacket(state, model, dt, n, sample_every=5,
                                         track_momentum=track_momentum)
-        half_v = np.exp(-0.5j * dt * model.potential_xy(grid64.X, grid64.Y)
+        half_v = np.exp(-0.5j * dt * model.potential_xy(*grid64.positions())
                         / grid64.hbar)
-        kinetic = np.exp(-0.5j * dt * grid64.hbar * grid64.k2 / model.mass)
+        kx, ky = grid64.wavenumbers()
+        kinetic = np.exp(-0.5j * dt * grid64.hbar * (kx ** 2 + ky ** 2)
+                         / model.mass)
         psi = state.psi.copy()
         for _ in range(n):
             psi *= half_v
