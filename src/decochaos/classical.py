@@ -189,10 +189,11 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
     )
 
 
-def divergence_from_trajectories(ta: Trajectory,
-                                 tb: Trajectory) -> DivergenceSeries:
-    """Divergence series of two already-propagated orbits on one grid."""
-    dd = DriveDifference.from_trajectories(ta, tb)
+def divergence_from_trajectories(ta: Trajectory, tb: Trajectory,
+                                 dd=None) -> DivergenceSeries:
+    """Divergence series of two already-propagated orbits on one grid;
+    dd is their drive difference if the caller already built it."""
+    dd = dd or DriveDifference.from_trajectories(ta, tb)
     D = cumulative_trapezoid(dd.squared_magnitude(), dd.dt)
     sep = np.sqrt(np.sum((tb.z - ta.z) ** 2, axis=1))
     e0a, e0b = ta.energy[0], tb.energy[0]
@@ -250,16 +251,20 @@ def _linfit(x, y):
     return float(slope), float(intercept), r2
 
 
-def classify_scaling(series: DivergenceSeries, window=None) -> ScalingFit:
+def classify_scaling(series: DivergenceSeries, window=None,
+                     shell_diameter=None) -> ScalingFit:
     """Decide between power-law and exponential growth of D(t).
 
-    Both models are fit by least squares on log D (against log t and
-    against t respectively) over the window; the better r^2 wins. The
-    window needs at least MIN_FIT_SAMPLES samples with D > 0.
+    Both models are fit by least squares on log D (against log t and t)
+    over the window, by default [t_end/4, t_end] with t_end the saturation
+    time or else the last time; the better r^2 wins. The window needs at
+    least MIN_FIT_SAMPLES samples with D > 0.
     """
     t, D = series.t, series.D
     if window is None:
-        window = (float(t[0]), float(t[-1]))
+        t_end = detect_saturation(series, shell_diameter)
+        t_end = float(t[-1]) if t_end is None else t_end
+        window = (0.25 * t_end, t_end)
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise FitError(f"empty fit window ({t_lo}, {t_hi})")
@@ -283,15 +288,16 @@ def classify_scaling(series: DivergenceSeries, window=None) -> ScalingFit:
     return best
 
 
-def detect_saturation(series: DivergenceSeries, shell_diameter: float,
+def detect_saturation(series: DivergenceSeries, shell_diameter: float | None,
                       fraction: float = 0.1) -> float | None:
-    """First time the orbit separation exceeds fraction * shell_diameter."""
-    if series.separation is None:
+    """First time the separation exceeds fraction * shell_diameter, or None."""
+    if series.separation is None or shell_diameter is None:
         return None
     hit = np.nonzero(series.separation > fraction * shell_diameter)[0]
     return float(series.t[hit[0]]) if hit.size else None
 
 
-def position_diameter(traj: Trajectory) -> float:
-    """Observed diameter of the position excursion, 2 * max |q(t)|."""
-    return 2.0 * float(np.max(np.sqrt(np.sum(traj.positions ** 2, axis=1))))
+def position_diameter(traj) -> float:
+    """2 * max |q(t)| of a Trajectory or an (n, 2) array of positions."""
+    q = np.asarray(getattr(traj, "positions", traj))
+    return 2.0 * float(np.max(np.sqrt(np.sum(q ** 2, axis=1))))

@@ -11,7 +11,8 @@ import json
 import os
 import sys
 
-from .classical import classify_scaling, max_lyapunov, propagate
+from .classical import (classify_scaling, max_lyapunov, position_diameter,
+                        propagate)
 from .errors import ConfigError, SimulationError
 from .harness import (ENGINES, OUTPUT_ROOT_ENV, compare_command,
                       load_config, run_experiment, write_csv)
@@ -99,8 +100,8 @@ def cmd_compare(args):
 
 
 def cmd_fit(args):
-    # decohere's fit: the same candidate starts and saturation-aware
-    # default window, and fit.window's rule for --window
+    # decohere's fit: the same candidate starts and default window (from
+    # a CSV's separation, qx and qy), and fit.window's rule for --window
     from .harness import _classical_pair, _window
 
     if not args.csv and not args.config:
@@ -114,13 +115,17 @@ def cmd_fit(args):
         try:
             with open(args.csv, encoding="ascii") as fh:
                 rows = list(_csv.DictReader(fh))
-            series = DivergenceSeries([float(r["t"]) for r in rows],
-                                      [float(r["D"]) for r in rows])
+            col = {key: [float(r[key]) for r in rows]
+                   for key in ("t", "D", "separation", "qx", "qy")
+                   if key in ("t", "D") or rows and key in rows[0]}
+            series = DivergenceSeries(*map(col.get, ("t", "D", "separation")))
+            diam = (position_diameter(list(zip(col["qx"], col["qy"])))
+                    if {"qx", "qy"} <= col.keys() else None)
         except KeyError as exc:
             raise ConfigError([f"{args.csv}: no {exc} column"]) from None
         except (OSError, TypeError, ValueError, _csv.Error) as exc:
             raise ConfigError([f"{args.csv}: {exc}"]) from None
-        fit = classify_scaling(series, window)
+        fit = classify_scaling(series, window, diam)
     else:
         fit = _classical_pair(_load(args), window).fit
         if fit is None:

@@ -230,10 +230,6 @@ class ExperimentConfig:
         raw["model"]["params"] = {k: v for k, v in self.model.params}
         return raw
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return _parse_config(data)
-
 
 def _parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config mapping, aggregating every violation.
@@ -596,17 +592,16 @@ def _fit_to_dict(fit):
 
 @dataclass
 class _OrbitPair:
-    """The chosen start z0 of a run, its orbit and displaced partner, and
-    what the run derives from them."""
+    """The chosen start z0 of a run, its orbit, the drive difference to the
+    displaced partner orbit, and what the run derives from them."""
 
     model: object
     z0: PhasePoint
     traj: object
-    traj2: object
+    dd: DriveDifference
     diam: float
     delta: tuple
     div: object
-    sat: float | None
     fit: object
     attempts: list
 
@@ -617,9 +612,8 @@ def _classical_pair(config, window=None) -> _OrbitPair:
     last start if every one is flagged), and that fit.
 
     A flagged start is likely too close to a periodic orbit. The fit
-    window is ``window``, else fit.window, else [t_end/4, t_end] with
-    t_end the saturation time or the run's end; a FitError means no fit
-    (None).
+    window is ``window``, else fit.window, else classify_scaling's
+    saturation-aware default; a FitError means no fit (None).
     """
     model = config.model.build()
     integ = config.integrator
@@ -637,12 +631,11 @@ def _classical_pair(config, window=None) -> _OrbitPair:
         traj2 = (propagate(model, z0 + PhasePoint(*delta), integ.dt,
                            integ.n_steps, integ.escape_radius)
                  if any(delta) else traj)
-        div = divergence_from_trajectories(traj, traj2)
-        sat = detect_saturation(div, diam)
-        t_end = sat if sat is not None else float(div.t[-1])
+        dd = DriveDifference.from_trajectories(traj, traj2)
+        div = divergence_from_trajectories(traj, traj2, dd)
+        del traj2    # spent; freed before the fit's temporaries
         try:
-            fit = classify_scaling(div, window or config.fit.window
-                                   or (0.25 * t_end, t_end))
+            fit = classify_scaling(div, window or config.fit.window, diam)
         except FitError:
             fit = None
         flagged = expected is not None and (
@@ -651,20 +644,20 @@ def _classical_pair(config, window=None) -> _OrbitPair:
                          "flagged": flagged})
         if not flagged:
             break
-    return _OrbitPair(model, z0, traj, traj2, diam, delta, div, sat, fit,
-                      attempts)
+    return _OrbitPair(model, z0, traj, dd, diam, delta, div, fit, attempts)
 
 
 def _classical_stage(config, run, pair):
-    """Record the pair's orbits, divergence, fit and energy drift (of both
-    orbits), and Lyapunov estimate if set; return its drive difference."""
+    """Record the pair's orbit, divergence, fit and energy drift (of both
+    orbits), and Lyapunov estimate if set."""
     integ = config.integrator
     z0, traj, div, fit = pair.z0, pair.traj, pair.div, pair.fit
     run.results.update(
         attempts=pair.attempts, initial_z=[z0.qx, z0.qy, z0.px, z0.py],
         initial_energy=pair.model.total_energy(z0),
         shell_diameter=pair.diam, delta_z=list(pair.delta),
-        saturation_time=pair.sat, divergence_fit=_fit_to_dict(fit))
+        saturation_time=detect_saturation(div, pair.diam),
+        divergence_fit=_fit_to_dict(fit))
     expected = config.fit.expected_scaling
     if expected is not None:
         run.check("expected_scaling", None if fit is None else fit.kind,
@@ -694,8 +687,6 @@ def _classical_stage(config, run, pair):
                                                 / (2.0 * est.lambda_max))
         run.columns("lyapunov.csv", t=est.convergence[:, 0],
                     lambda_running=est.convergence[:, 1])
-
-    return DriveDifference.from_trajectories(traj, pair.traj2)
 
 
 def _gamma_stage(config, run, dd, engine_label):
@@ -789,10 +780,9 @@ def _run(config, out_dir):
 
     try:
         pair = _classical_pair(config)
-        dd = _classical_stage(config, run, pair)
-        pair.traj2 = pair.div = None    # spent; freed before the oracle
+        _classical_stage(config, run, pair)
         if config.engine in ("classical", "both"):
-            gamma = _gamma_stage(config, run, dd, "classical")
+            gamma = _gamma_stage(config, run, pair.dd, "classical")
         if config.engine in ("quantum", "both"):
             _gamma_stage(config, run, _quantum_stage(config, run, pair),
                          "quantum")

@@ -320,6 +320,20 @@ class TestClassifyScaling:
         with pytest.raises(FitError):
             classify_scaling(self.synthetic(t, D), (1.0, 10.0))
 
+    def test_default_window_ends_at_saturation(self):
+        # separation 0.01 t crosses a tenth of the diameter 0.5 at t = 5.1
+        t = np.linspace(0.0, 10.0, 101)
+        series = DivergenceSeries(t, t ** 3, separation=0.01 * t)
+        t_sat = detect_saturation(series, 0.5)
+        assert t_sat == pytest.approx(5.1)
+        fit = classify_scaling(series, shell_diameter=0.5)
+        assert fit.window == (0.25 * t_sat, t_sat)
+        assert fit.kind == "power_law"
+        # no diameter, or no saturation: the window ends at the last time
+        for diameter in (None, 10.0):
+            assert classify_scaling(series, shell_diameter=diameter
+                                    ).window == (2.5, 10.0)
+
 
 class TestSaturationHelpers:
     def test_detect_saturation(self):
@@ -334,3 +348,9 @@ class TestSaturationHelpers:
         traj = propagate(Harmonic2D(1.0, 1.0), PhasePoint(1, 0, 0, 0),
                          0.01, 700)
         assert position_diameter(traj) == pytest.approx(2.0, rel=1e-3)
+
+    def test_position_diameter_of_a_positions_array(self):
+        traj = propagate(Harmonic2D(1.0, 1.0), PhasePoint(1, 0, 0, 0.5),
+                         0.01, 700)
+        assert position_diameter(traj.z[:, :2].copy()) == \
+            position_diameter(traj)

@@ -22,12 +22,11 @@ from decochaos.cli import main as cli_main
 from decochaos.decoherence import RegimeRun, compare_regimes
 from decochaos.errors import (BoundaryLeakError, ConfigError, DomainError,
                               EscapeError)
-from decochaos.harness import (ExperimentConfig, _parse_config,
-                               compare_command, load_config, run_experiment,
-                               write_csv)
+from decochaos.harness import (_parse_config, compare_command, load_config,
+                               run_experiment, write_csv)
 from decochaos.models import PhasePoint
 from decochaos.quantum import Grid2D, init_gaussian, propagate_wavepacket
-from decochaos.series import DecoherenceSeries
+from decochaos.series import DecoherenceSeries, DriveDifference
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -194,8 +193,7 @@ class TestLoadConfig:
 
     def test_roundtrip_equality(self, tmp_path):
         cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
-        again = ExperimentConfig.from_dict(
-            json.loads(json.dumps(cfg.to_dict())))
+        again = _parse_config(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
 
     def test_shipped_configs_are_valid(self):
@@ -606,6 +604,29 @@ class TestRunExperiment:
         assert not attempts[1]["flagged"]
         assert record.results["initial_z"][1] == pytest.approx(0.3)
         assert record.checks["expected_scaling"]["pass"]
+
+    @pytest.mark.parametrize("alternates", [0, 2])
+    def test_one_drive_difference_per_start(self, tmp_path, monkeypatch,
+                                            alternates):
+        # a harmonic pair never diverges exponentially, so every start
+        # is flagged and tried
+        built = []
+        original = DriveDifference.from_trajectories.__func__
+
+        def counted(cls, a, b):
+            built.append(1)
+            return original(cls, a, b)
+
+        monkeypatch.setattr(DriveDifference, "from_trajectories",
+                            classmethod(counted))
+        data = copy.deepcopy(SMALL_RUN)
+        data["initial"]["alternates"] = [[0.5, 0.0, 0.0, 1.0]] * alternates
+        data["fit"] = {"expected_scaling": "exponential"}
+        record = run_experiment(load_config(write_yaml(tmp_path, data)),
+                                str(tmp_path / "runs"))
+        assert record.error is None
+        assert len(built) == len(record.results["attempts"]) == \
+            1 + alternates
 
 
     def test_only_fit_failures_mean_no_fit(self, tmp_path, monkeypatch):
@@ -1296,6 +1317,58 @@ class TestCli:
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
         assert printed[0].startswith(f"kind: {recorded['kind']}\n")
+
+    @pytest.mark.parametrize("n_steps, saturation", [(6000, None),
+                                                     (16000, 73.63)])
+    def test_fit_csv_of_a_run_without_window_matches_the_run(
+            self, tmp_path, capsys, n_steps, saturation):
+        # the record's window is the saturation-aware default, which
+        # fit --csv rebuilds from the table's separation, qx and qy; the
+        # orbits separate at t = 73.63, after the end of the shorter run
+        with open(os.path.join(CONFIG_DIR, "chaotic_henon.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["integrator"]["n_steps"] = n_steps
+        del data["bath"]["n_modes"]
+        path = write_yaml(tmp_path, data)
+        runs = tmp_path / "runs"
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(runs)]) == 0
+        (rundir,) = runs.iterdir()
+        with open(rundir / "record.json") as fh:
+            recorded = json.load(fh)["results"]
+        capsys.readouterr()
+        printed = []
+        for source in (["--config", path],
+                       ["--csv", str(rundir / "classical.csv")]):
+            assert cli_main(["fit", *source]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        fit = recorded["divergence_fit"]
+        assert f"window: {tuple(fit['window'])}\n" in printed[1]
+        assert recorded["saturation_time"] == saturation
+        t_end = saturation or 0.005 * n_steps
+        assert fit["window"] == pytest.approx([0.25 * t_end, t_end])
+
+    def test_fit_csv_without_window_or_separation_fits_the_last_3_4(
+            self, tmp_path, capsys):
+        t = np.linspace(0.0, 10.0, 401)
+        path = str(tmp_path / "div.csv")
+        write_csv(path, ["t", "D"], [t, t ** 3])
+        assert cli_main(["fit", "--csv", path]) == 0
+        out = capsys.readouterr().out
+        assert "kind: power_law\n" in out
+        assert "window: (2.5, 10.0)\n" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,D,separation\n0,0,0\n1,1,x\n", "could not convert"),
+        ("t,D,qx,qy\n0,0,1,0\n1,1,1\n", "real number, not"),
+    ], ids=["non-numeric-separation", "short-row"])
+    def test_fit_from_bad_optional_column_exits_1(self, tmp_path, capsys,
+                                                  text, message):
+        path = tmp_path / "div.csv"
+        path.write_text(text)
+        assert cli_main(["fit", "--csv", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_fit_config_without_a_fit_exits_2(self, tmp_path, capsys):
         # the run ends at t = 6: the window holds no samples
