@@ -142,26 +142,6 @@ def thermal_occupation(omega, temperature):
     return np.where(np.isfinite(n), n, 0.0)
 
 
-_identity_verified = False
-
-
-def _require_identity():
-    """One-time self-check of the per-mode dephasing formula.
-
-    The oracle leans on |Tr[rho_th D(mu)]| = exp(-|mu|^2 (n + 1/2));
-    confirm it against the number-basis sum before the first use.
-    """
-    global _identity_verified
-    if _identity_verified:
-        return
-    worst = verify_displacement_identity()
-    if worst > 1e-6:
-        raise DomainError(
-            f"thermal displacement identity failed its self-check "
-            f"(deviation {worst:g}); refusing to evaluate the oracle")
-    _identity_verified = True
-
-
 def _mode_grid(omegas: np.ndarray) -> tuple[float, float]:
     """(omega_0, delta_omega) of evenly spaced modes omega_0 + j delta_omega.
 
@@ -230,7 +210,6 @@ def decoherence_exponent_oracle(bath: BathDiscretization,
     if not (_finite_real(temperature) and temperature > 0):
         raise DomainError("temperature must be a positive finite number")
     omega_0, step = _mode_grid(bath.omegas)
-    _require_identity()
     bath.spectral.check_drive_step(dd.dt)
 
     strength = bath.weights * (thermal_occupation(bath.omegas, temperature)

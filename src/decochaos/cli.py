@@ -125,6 +125,11 @@ def cmd_fit(args):
             raise ConfigError([f"{args.csv}: no {exc} column"]) from None
         except (OSError, TypeError, ValueError, _csv.Error) as exc:
             raise ConfigError([f"{args.csv}: {exc}"]) from None
+        # a run's table is fitted by the run's rule: --window, else the
+        # fit.window of the config.snapshot beside it
+        snapshot = os.path.join(os.path.dirname(args.csv), "config.snapshot")
+        if window is None and os.path.exists(snapshot):
+            window = load_config(snapshot).fit.window
         fit = classify_scaling(series, window, diam)
     else:
         fit = _classical_pair(_load(args), window).fit

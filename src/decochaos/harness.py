@@ -489,23 +489,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    return obj
-
-
 @dataclass
 class RunRecord:
     """Persisted description of one executed experiment."""
@@ -543,7 +526,8 @@ class _RunDir:
         self.tables.setdefault(name, {"t": t}).update(columns)
 
     def check(self, name, value, bound, passed):
-        self.checks[name] = {"value": value, "bound": bound, "pass": passed}
+        self.checks[name] = {"value": value, "bound": bound,
+                             "pass": bool(passed)}
 
     def record(self, config, error=None) -> RunRecord:
         """Write the tables, then record.json with the files' manifest."""
@@ -558,8 +542,7 @@ class _RunDir:
             path=self.path, config=config,
             manifest={name: _sha256(os.path.join(self.path, name))
                       for name in self.files},
-            results=_json_safe(self.results), checks=_json_safe(self.checks),
-            error=error)
+            results=self.results, checks=self.checks, error=error)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
@@ -571,7 +554,9 @@ class _RunDir:
         }
         with open(os.path.join(self.path, "record.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            # numpy scalars and arrays as the Python numbers they hold
+            json.dump(payload, fh, indent=2, sort_keys=True,
+                      default=lambda o: o.tolist())
             fh.write("\n")
         return record
 
@@ -865,9 +850,8 @@ def compare_command(config_regular: ExperimentConfig,
                        t_star=comparison.t_star,
                        within_ehrenfest=comparison.within_ehrenfest,
                        ehrenfest_windows=windows)
-    run.check("dominance", comparison.dominates, True,
-              bool(comparison.dominates))
+    run.check("dominance", comparison.dominates, True, comparison.dominates)
     run.check("t_star_within_ehrenfest", comparison.t_star, windows,
-              bool(comparison.within_ehrenfest))
+              comparison.within_ehrenfest)
     return run.record({"regular": config_regular.to_dict(),
                        "chaotic": config_chaotic.to_dict()})

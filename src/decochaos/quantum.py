@@ -35,7 +35,6 @@ __all__ = [
     "propagate_wavepacket",
     "ehrenfest_break_time",
     "save_wavepacket",
-    "load_wavepacket",
 ]
 
 BOUNDARY_DENSITY_TOL = 1e-10
@@ -272,17 +271,3 @@ def save_wavepacket(state: WavepacketState, path) -> None:
         for key, val in (("nx", g.nx), ("ny", g.ny), ("lx", g.lx),
                          ("ly", g.ly), ("hbar_eff", g.hbar), ("t", state.t)):
             fh.write(f"{key} {val!r}\n")
-
-
-def load_wavepacket(path) -> WavepacketState:
-    """Inverse of save_wavepacket."""
-    fields = {}
-    with open(f"{path}.hdr", encoding="ascii") as fh:
-        for line in fh:
-            key, val = line.split()
-            fields[key] = val
-    grid = Grid2D(int(fields["nx"]), int(fields["ny"]),
-                  float(fields["lx"]), float(fields["ly"]),
-                  float(fields["hbar_eff"]))
-    psi = np.fromfile(path, dtype="<c16").reshape(grid.nx, grid.ny)
-    return WavepacketState(grid, psi.astype(complex), float(fields["t"]))

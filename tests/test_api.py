@@ -16,8 +16,6 @@ PACKAGE = ROOT / "src" / "decochaos"
 TEST_REFERENCES = {
     "evolve_bath_amplitude": "single-mode reference whose mode sum the "
                              "oracle tests check the FFT oracle against",
-    "load_wavepacket": "reads back save_wavepacket snapshots in the "
-                       "snapshot round-trip test",
 }
 
 

@@ -329,17 +329,6 @@ class TestDisplacementIdentity:
                                              n_max=400)
         assert worst < 1e-6
 
-    def test_oracle_self_checks_the_identity_once(self):
-        import decochaos.bath as bath_mod
-
-        bath_mod._identity_verified = False
-        sd = SpectralDensity(1.0, 10.0)
-        bath = discretize_bath(sd, 10)
-        t = np.linspace(0.0, 1.0, 101)
-        decoherence_exponent_oracle(bath, make_dd(t, np.full_like(t, 0.01)),
-                                    10.0)
-        assert bath_mod._identity_verified
-
     @pytest.mark.parametrize("mu", [0.2, 0.6 + 0.3j, 1.0j, 1.5])
     def test_individual_displacements(self, mu):
         exact = thermal_displacement_expectation(mu, 1.0, 2.0)

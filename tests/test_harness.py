@@ -544,6 +544,26 @@ class TestRunExperiment:
         assert payload["manifest"] == record.manifest
         assert payload["package_version"]
 
+    def test_record_writes_numpy_values_as_json_numbers(self, tmp_path):
+        run = harness._RunDir(str(tmp_path), "numpy")
+        run.results.update(f=np.float64(0.1), b=np.bool_(True),
+                           i=np.int64(3), a=np.array([1.0, 2.5]))
+        run.check("c", np.float64(0.25), np.int64(1), np.bool_(True))
+        run.check("d", np.array([1, 2]), None, np.float64(0.0))
+        record = run.record({})
+        with open(os.path.join(record.path, "record.json")) as fh:
+            payload = json.load(fh)
+        assert payload["results"] == {"a": [1.0, 2.5], "b": True, "f": 0.1,
+                                      "i": 3}
+        assert [type(payload["results"][k]) for k in "abfi"] == [
+            list, bool, float, int]
+        assert payload["checks"] == {
+            "c": {"value": 0.25, "bound": 1, "pass": True},
+            "d": {"value": [1, 2], "bound": None, "pass": False}}
+        assert type(payload["checks"]["c"]["bound"]) is int
+        assert all(type(check["pass"]) is bool
+                   for check in record.checks.values())
+
     def test_escape_captured_with_partial_outputs(self, tmp_path):
         data = copy.deepcopy(SMALL_RUN)
         data["model"] = {"family": "inverted_harmonic", "params": {"k": 1.0}}
@@ -1318,17 +1338,22 @@ class TestCli:
         assert printed[0] == printed[1]
         assert printed[0].startswith(f"kind: {recorded['kind']}\n")
 
-    @pytest.mark.parametrize("n_steps, saturation", [(6000, None),
-                                                     (16000, 73.63)])
+    @pytest.mark.parametrize("name, n_steps, saturation, window", [
+        ("chaotic_henon.yaml", 6000, None, [7.5, 30.0]),
+        ("chaotic_henon.yaml", 16000, 73.63, [18.4075, 73.63]),
+        ("regular_quartic.yaml", 60000, None, [70.0, 300.0])],
+        ids=["6000-None", "16000-73.63", "regular_quartic"])
     def test_fit_csv_of_a_run_without_window_matches_the_run(
-            self, tmp_path, capsys, n_steps, saturation):
-        # the record's window is the saturation-aware default, which
-        # fit --csv rebuilds from the table's separation, qx and qy; the
-        # orbits separate at t = 73.63, after the end of the shorter run
-        with open(os.path.join(CONFIG_DIR, "chaotic_henon.yaml")) as fh:
+            self, tmp_path, capsys, name, n_steps, saturation, window):
+        # the chaotic record's window is the saturation-aware default,
+        # which fit --csv rebuilds from the table's separation, qx and qy
+        # (the orbits separate at t = 73.63, after the end of the shorter
+        # run); the regular record's is its config's fit.window, which
+        # fit --csv reads from the config.snapshot beside the table
+        with open(os.path.join(CONFIG_DIR, name)) as fh:
             data = yaml.safe_load(fh)
         data["integrator"]["n_steps"] = n_steps
-        del data["bath"]["n_modes"]
+        data["bath"].pop("n_modes", None)
         path = write_yaml(tmp_path, data)
         runs = tmp_path / "runs"
         assert cli_main(["decohere", "--config", path, "--out",
@@ -1342,12 +1367,14 @@ class TestCli:
                        ["--csv", str(rundir / "classical.csv")]):
             assert cli_main(["fit", *source]) == 0
             printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
         fit = recorded["divergence_fit"]
-        assert f"window: {tuple(fit['window'])}\n" in printed[1]
+        assert printed[0] == printed[1] == (
+            f"kind: {fit['kind']}\n"
+            f"exponent_or_rate: {fit['exponent_or_rate']:.6g}\n"
+            f"r_squared: {fit['r_squared']:.6f}\n"
+            f"window: {tuple(fit['window'])}\n")
         assert recorded["saturation_time"] == saturation
-        t_end = saturation or 0.005 * n_steps
-        assert fit["window"] == pytest.approx([0.25 * t_end, t_end])
+        assert fit["window"] == pytest.approx(window)
 
     def test_fit_csv_without_window_or_separation_fits_the_last_3_4(
             self, tmp_path, capsys):
