@@ -9,48 +9,3 @@ maximum Lyapunov rate for chaotic motion) that controls it.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BoundaryLeakError,
-    ConfigError,
-    DomainError,
-    EscapeError,
-    FitError,
-    GridError,
-    GridMismatchError,
-    NormDriftError,
-    SimulationError,
-)
-from .models import (
-    MODEL_FAMILIES,
-    Harmonic2D,
-    HamiltonianModel,
-    HenonHeiles,
-    InvertedHarmonic,
-    PhasePoint,
-    PullenEdmonds,
-    SeparableQuartic,
-    make_model,
-)
-
-__all__ = [
-    "__version__",
-    "BoundaryLeakError",
-    "ConfigError",
-    "DomainError",
-    "EscapeError",
-    "FitError",
-    "GridError",
-    "GridMismatchError",
-    "NormDriftError",
-    "SimulationError",
-    "MODEL_FAMILIES",
-    "HamiltonianModel",
-    "Harmonic2D",
-    "HenonHeiles",
-    "InvertedHarmonic",
-    "PhasePoint",
-    "PullenEdmonds",
-    "SeparableQuartic",
-    "make_model",
-]

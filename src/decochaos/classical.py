@@ -33,9 +33,11 @@ __all__ = [
 
 DEFAULT_ESCAPE_RADIUS = 1e3
 # A growth-law fit needs this many positive samples in its window; r^2
-# values closer than the threshold flag the fit as ambiguous.
+# values closer than the threshold flag the fit as ambiguous; a
+# separation past the fraction of the shell diameter is saturated.
 MIN_FIT_SAMPLES = 20
 AMBIGUITY_THRESHOLD = 0.01
+SATURATION_FRACTION = 0.1
 
 # Yoshida fourth-order composition of drift-kick-drift leapfrog stages.
 _CBRT2 = 2.0 ** (1.0 / 3.0)
@@ -288,12 +290,13 @@ def classify_scaling(series: DivergenceSeries, window=None,
     return best
 
 
-def detect_saturation(series: DivergenceSeries, shell_diameter: float | None,
-                      fraction: float = 0.1) -> float | None:
-    """First time the separation exceeds fraction * shell_diameter, or None."""
+def detect_saturation(series: DivergenceSeries,
+                      shell_diameter: float | None) -> float | None:
+    """First time separation > SATURATION_FRACTION * diameter, or None."""
     if series.separation is None or shell_diameter is None:
         return None
-    hit = np.nonzero(series.separation > fraction * shell_diameter)[0]
+    bound = SATURATION_FRACTION * shell_diameter
+    hit = np.nonzero(series.separation > bound)[0]
     return float(series.t[hit[0]]) if hit.size else None
 
 

@@ -50,13 +50,15 @@ class GridMismatchError(SimulationError):
 class ConfigError(SimulationError, ValueError):
     """Experiment configuration failed validation.
 
-    ``errors`` lists every violated constraint, not just the first.
+    ``errors`` lists every violated constraint, not just the first;
+    ``path`` names the config file they were found in, if any.
     """
 
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("invalid configuration:\n" + "\n".join(
+    def __init__(self, errors, path=None):
+        self.errors, self.path = list(errors), path
+        where = "" if path is None else f" in {path}"
+        super().__init__(f"invalid configuration{where}:\n" + "\n".join(
             f"  - {e}" for e in self.errors))
 
     def __reduce__(self):
-        return type(self), (self.errors,)
+        return type(self), (self.errors, self.path)

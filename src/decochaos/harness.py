@@ -27,9 +27,9 @@ import yaml
 
 from . import __version__
 from .bath import SpectralDensity, decoherence_exponent_oracle, discretize_bath
-from .classical import (classify_scaling, detect_saturation,
-                        divergence_from_trajectories, max_lyapunov,
-                        position_diameter, propagate)
+from .classical import (DEFAULT_ESCAPE_RADIUS, classify_scaling,
+                        detect_saturation, divergence_from_trajectories,
+                        max_lyapunov, position_diameter, propagate)
 from .decoherence import (RegimeRun, asymptotic_exponent, compare_regimes,
                           hartree_error)
 from .errors import ConfigError, FitError, SimulationError
@@ -148,11 +148,11 @@ def _point(value):
 @dataclass(frozen=True)
 class ModelSpec:
     family: str
-    params: tuple = ()          # sorted (name, value) pairs
+    params: dict = field(default_factory=dict)     # sorted by name
     mass: float = 1.0
 
     def build(self):
-        return make_model(self.family, dict(self.params), self.mass)
+        return make_model(self.family, self.params, self.mass)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class InitialSpec:
 class IntegratorSpec:
     dt: float
     n_steps: int
-    escape_radius: float = 1e3
+    escape_radius: float = DEFAULT_ESCAPE_RADIUS
     energy_drift_bound: float = 1e-6
 
 
@@ -225,11 +225,6 @@ class ExperimentConfig:
     slug: str | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        raw = asdict(self)
-        raw["model"]["params"] = {k: v for k, v in self.model.params}
-        return raw
-
 
 def _parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config mapping, aggregating every violation.
@@ -279,11 +274,11 @@ def _parse_config(data: dict) -> ExperimentConfig:
     with section("model"):
         m = _mapping(data, "model", ModelSpec, required=True)
         # a free mapping, whose names and values make_model checks
-        params = {} if m["params"] in ((), None) else m["params"]
+        params = {} if m.get("params") is None else m["params"]
         if not isinstance(params, dict):
             raise ConfigError(["model.params: must be a mapping"])
         make_model(m.get("family"), params, m["mass"])
-        model = ModelSpec(m.get("family"), tuple(sorted(
+        model = ModelSpec(m.get("family"), dict(sorted(
             (k, float(v)) for k, v in params.items())), float(m["mass"]))
 
     with section("initial"):
@@ -344,8 +339,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
     with section("bath"):
         b = _mapping(data, "bath", BathSpec)
         if b is not None:
-            sd = SpectralDensity(_positive(b, "bath.coupling"),
-                                 _positive(b, "bath.omega_max"))
+            sd = SpectralDensity(b.get("coupling"), b.get("omega_max"))
             temperature = _positive(b, "bath.temperature")
             n_modes = (None if b["n_modes"] is None
                        else _count(b, "bath.n_modes", 2))
@@ -365,7 +359,8 @@ def _parse_config(data: dict) -> ExperimentConfig:
                         f"bath.n_modes: {n_modes} modes recur at "
                         f"2*pi*n_modes/omega_max = {recur:g}, within the "
                         f"run's n_steps*dt = {span:g}"])
-            bath = BathSpec(sd.coupling, sd.omega_max, temperature, n_modes)
+            bath = BathSpec(float(sd.coupling), float(sd.omega_max),
+                            temperature, n_modes)
 
     with section("fit"):
         f = _mapping(data, "fit", FitSpec)
@@ -402,8 +397,11 @@ def load_config(path, **overrides) -> ExperimentConfig:
         raise ConfigError([f"config file not found: {path}"]) from None
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from None
-    return _parse_config({**raw, **overrides} if isinstance(raw, dict)
-                         else raw)
+    try:
+        return _parse_config({**raw, **overrides} if isinstance(raw, dict)
+                             else raw)
+    except ConfigError as exc:
+        raise ConfigError(exc.errors, path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +734,7 @@ def _quantum_stage(config, run, pair):
     if config.bath is not None:
         est = hartree_error(z1, config.bath.coupling, config.bath.omega_max,
                             float(z1.t[-1]))
-        run.results["hartree_error"] = {"t": est.t, "value": est.value,
-                                        "omega_max": est.omega_max,
-                                        "warning": est.warning}
+        run.results["hartree_error"] = asdict(est)
     return DriveDifference.from_expectations(z1, z2)
 
 
@@ -760,7 +756,7 @@ def _run(config, out_dir):
 
     with open(os.path.join(run.path, "config.snapshot"), "w",
               encoding="utf-8", newline="\n") as fh:
-        yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
+        yaml.safe_dump(asdict(config), fh, sort_keys=True)
     run.files.append("config.snapshot")
 
     try:
@@ -774,7 +770,7 @@ def _run(config, out_dir):
     except (SimulationError, MemoryError, ChildProcessError) as exc:
         # ChildProcessError: a forked helper (_beside) died without a result
         error = {"type": type(exc).__name__, "message": str(exc)}
-    return run.record(config.to_dict(), error), gamma
+    return run.record(asdict(config), error), gamma
 
 
 def compare_command(config_regular: ExperimentConfig,
@@ -853,5 +849,5 @@ def compare_command(config_regular: ExperimentConfig,
     run.check("dominance", comparison.dominates, True, comparison.dominates)
     run.check("t_star_within_ehrenfest", comparison.t_star, windows,
               comparison.within_ehrenfest)
-    return run.record({"regular": config_regular.to_dict(),
-                       "chaotic": config_chaotic.to_dict()})
+    return run.record({"regular": asdict(config_regular),
+                       "chaotic": asdict(config_chaotic)})

@@ -83,7 +83,6 @@ class HamiltonianModel:
             setattr(self, name, float(value))
         if not self.mass > 0:
             raise DomainError(f"mass must be positive, got {mass!r}")
-        self._params = {name: getattr(self, name) for name in params}
 
     # family-specific pieces -------------------------------------------------
 
@@ -104,13 +103,6 @@ class HamiltonianModel:
 
     def kinetic_energy(self, px, py):
         return (px ** 2 + py ** 2) / (2.0 * self.mass)
-
-    def params(self) -> dict:
-        return dict(self._params)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params().items())
-        return f"{type(self).__name__}({inner}, mass={self.mass:g})"
 
 
 class Harmonic2D(HamiltonianModel):

@@ -97,11 +97,6 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
-    def __eq__(self, other):
-        return (isinstance(other, Grid2D)
-                and (self.nx, self.ny, self.lx, self.ly, self.hbar)
-                == (other.nx, other.ny, other.lx, other.ly, other.hbar))
-
     def gaussian_widths(self, widths) -> tuple:
         """(sigma_x, sigma_y) as floats, each above two grid cells and
         below a tenth of the box."""

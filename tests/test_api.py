@@ -1,6 +1,7 @@
-"""Every public name has a caller.
+"""Every public name has one home and a caller.
 
-A name in a decochaos module's ``__all__`` counts as used when code in
+A name in a decochaos module's ``__all__`` is defined in that module, not
+imported into it. It counts as used when code in
 the package, the benchmark (``perfbench/``) or the acceptance suite
 refers to it from outside its own definition, and that code is itself
 used: a public function called only by another unused public function
@@ -60,3 +61,16 @@ def test_every_public_name_is_used():
 
 def test_test_references_are_still_public_and_unused():
     assert set(TEST_REFERENCES) <= unused_public_names()
+
+
+def test_every_public_name_is_defined_in_its_module():
+    # an import is not a definition: a name has one import path
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {node.name for node in body if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef))}
+        values = {target.id: node.value for node in body
+                  if isinstance(node, ast.Assign) for target in node.targets
+                  if isinstance(target, ast.Name)}
+        exported = ast.literal_eval(values.get("__all__", "[]"))
+        assert set(exported) - defined - set(values) == set(), path.name

@@ -151,7 +151,9 @@ class TestLoadConfig:
     def test_seed_is_mandatory(self, tmp_path):
         bad = copy.deepcopy(MINIMAL)
         del bad["seed"]
-        with pytest.raises(ConfigError, match="seed"):
+        # the message names the file, whose directory is named after
+        # this test: match the entry, not the path
+        with pytest.raises(ConfigError, match="  - seed: "):
             load_config(write_yaml(tmp_path, bad))
 
     def test_errors_are_aggregated(self, tmp_path):
@@ -193,7 +195,8 @@ class TestLoadConfig:
 
     def test_roundtrip_equality(self, tmp_path):
         cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
-        again = _parse_config(json.loads(json.dumps(cfg.to_dict())))
+        again = _parse_config(
+            json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
     def test_shipped_configs_are_valid(self):
@@ -205,9 +208,9 @@ class TestLoadConfig:
     @pytest.mark.parametrize("change, field", [
         ({"integrator": {"dt": 0.01, "n_steps": True}}, "n_steps"),
         ({"bath": {"coupling": float("inf"), "omega_max": 10.0,
-                   "temperature": 1000.0}}, "bath.coupling"),
+                   "temperature": 1000.0}}, "bath: coupling"),
         ({"bath": {"coupling": 1.0, "omega_max": float("nan"),
-                   "temperature": 1000.0}}, "bath.omega_max"),
+                   "temperature": 1000.0}}, "bath: omega_max"),
         ({"bath": {"coupling": 1.0, "omega_max": 10.0,
                    "temperature": float("inf")}}, "bath.temperature"),
         ({"slug": "../../etc"}, "slug"),
@@ -305,7 +308,7 @@ class TestRunExperiment:
         # exponents it drives share the integrator's samples
         path = os.path.join(record.path, "classical.csv")
         assert header(path) == f"{TRAJECTORY},gamma_asymptotic,gamma_oracle"
-        row = open(path).readlines()[1]
+        row = Path(path).read_text().splitlines()[1]
         assert len(row.split(",")) == 11
         assert set(record.manifest) == {"config.snapshot", "classical.csv"}
 
@@ -442,7 +445,7 @@ class TestRunExperiment:
         # the orbit and divergence columns, and no exponent column
         path = os.path.join(record.path, "classical.csv")
         assert header(path) == TRAJECTORY
-        assert len(open(path).readlines()) == 3002
+        assert len(Path(path).read_text().splitlines()) == 3002
         assert set(record.manifest) == {"config.snapshot", "classical.csv"}
         assert record.manifest["classical.csv"] == harness._sha256(path)
 
@@ -540,7 +543,7 @@ class TestRunExperiment:
         # every file in the run directory is manifested with its checksum
         on_disk = {f for f in os.listdir(record.path) if f != "record.json"}
         assert on_disk == set(record.manifest)
-        payload = json.load(open(os.path.join(record.path, "record.json")))
+        payload = json.loads(Path(record.path, "record.json").read_text())
         assert payload["manifest"] == record.manifest
         assert payload["package_version"]
 
@@ -700,7 +703,7 @@ class TestCompareCommand:
         assert record.results["dominates"] is False
         assert record.results["t_star"] is None
         ratio_csv = os.path.join(record.path, "gamma_ratio.csv")
-        rows = open(ratio_csv).read().splitlines()[1:]
+        rows = Path(ratio_csv).read_text().splitlines()[1:]
         vals = [float(r.split(",")[1]) for r in rows
                 if r.split(",")[1] != "nan"]
         assert all(abs(v - 1.0) < 1e-12 for v in vals)
@@ -909,8 +912,9 @@ class TestForked:
 
     @pytest.mark.parametrize("exc", [
         EscapeError("escaped", 1.5, PhasePoint(1.0, 0.0, 0.0, 0.5)),
-        ConfigError(["a: bad", "b: worse"])],
-        ids=lambda exc: type(exc).__name__)
+        ConfigError(["a: bad", "b: worse"]),
+        ConfigError(["a: bad"], "experiment.yaml")],
+        ids=["EscapeError", "ConfigError", "ConfigError-path"])
     def test_package_exception_comes_back_whole(self, no_child_left, exc):
         def fail():
             raise exc
@@ -1071,8 +1075,8 @@ class TestCli:
         assert "run directory" in out
         run_dirs = os.listdir(tmp_path / "runs")
         assert len(run_dirs) == 1
-        snapshot = yaml.safe_load(open(
-            tmp_path / "runs" / run_dirs[0] / "config.snapshot"))
+        snapshot = yaml.safe_load(
+            (tmp_path / "runs" / run_dirs[0] / "config.snapshot").read_text())
         assert snapshot["seed"] == 99
 
     def test_propagate_writes_csv(self, tmp_path):
@@ -1267,7 +1271,8 @@ class TestCli:
         assert cli_main(["decohere", "--config", path, "--out", str(runs),
                          *option]) == 0
         (rundir,) = os.listdir(runs)
-        snapshot = yaml.safe_load(open(runs / rundir / "config.snapshot"))
+        snapshot = yaml.safe_load((runs / rundir / "config.snapshot")
+                                  .read_text())
         key, value = option[0][2:], yaml.safe_load(option[1])
         assert snapshot[key] == value
 
@@ -1404,6 +1409,16 @@ class TestCli:
                          "30"]) == 2
         assert "runtime failure" in capsys.readouterr().err
 
+    def test_fit_csv_names_a_bad_snapshot_beside_it(self, tmp_path, capsys):
+        t = np.linspace(0.0, 10.0, 401)
+        csv_path = str(tmp_path / "classical.csv")
+        write_csv(csv_path, ["t", "D"], [t, t ** 3])
+        snapshot = write_yaml(tmp_path, {**SMALL_RUN, "seed": -1},
+                              "config.snapshot")
+        assert cli_main(["fit", "--csv", csv_path]) == 1
+        assert (f"error: invalid configuration in {snapshot}:\n"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("window", [
         ["10", "1"], ["1", "1"], ["nan", "10"], ["1", "inf"]],
         ids=["reversed", "empty", "nan", "inf"])
@@ -1483,7 +1498,7 @@ class TestCli:
                          out_csv]) == 0
         printed = capsys.readouterr().out
         assert "lambda_max" in printed
-        assert open(out_csv).readline().strip() == "t,lambda_running"
+        assert header(out_csv) == "t,lambda_running"
 
     @pytest.mark.parametrize("argv", [
         ["propagate", "--seed", "1"], ["propagate", "--engine", "both"],
@@ -1504,6 +1519,16 @@ class TestCli:
         assert code == 0
         printed = capsys.readouterr().out
         assert '"dominates": false' in printed
+
+    def test_compare_names_the_bad_config(self, tmp_path, capsys):
+        good = write_yaml(tmp_path, SMALL_RUN)
+        bad = write_yaml(tmp_path, {**SMALL_RUN, "seed": -1}, "chaotic.yaml")
+        assert cli_main(["compare", "--config", good, "--config-chaotic", bad,
+                         "--out", str(tmp_path / "runs")]) == 1
+        assert (f"error: invalid configuration in {bad}:\n"
+                f"  - seed: must be an integer >= 0\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
 
 
 # Every section present and valid; the property test below breaks one to

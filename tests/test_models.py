@@ -20,6 +20,14 @@ ALL_MODELS = [
     PullenEdmonds(0.05),
 ]
 
+
+def model_id(model):
+    """A test id: the family class, its parameters, then the mass."""
+    mass, *params = vars(model).items()
+    inner = ", ".join(f"{k}={v:g}" for k, v in [*params, mass])
+    return f"{type(model).__name__}({inner})"
+
+
 TEST_POINTS = [(0.0, 0.0), (0.3, -0.2), (1.0, 1.0), (-0.7, 0.45),
                (0.11, 0.62), (-1.3, -0.9)]
 
@@ -89,7 +97,7 @@ class TestPotentialValues:
         assert np.allclose(H, np.diag([2.0 * 0.49, 2.0 * 1.69]))
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
 def test_gradient_matches_finite_differences(model):
     for qx, qy in TEST_POINTS:
         exact = grad(model, qx, qy)
@@ -98,7 +106,7 @@ def test_gradient_matches_finite_differences(model):
         assert np.allclose(approx, exact, atol=1e-6 * scale)
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+@pytest.mark.parametrize("model", ALL_MODELS, ids=model_id)
 def test_hessian_matches_finite_differences(model):
     for qx, qy in TEST_POINTS:
         exact = hessian(model, qx, qy)
