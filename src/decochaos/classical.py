@@ -54,13 +54,13 @@ def _substeps(model, dt):
     return _C1 * dt * inv_m, _C2 * dt * inv_m, _W1 * dt, _W0 * dt
 
 
-def _escape(t, buf, i, model):
+def _escape(t, z, i, model):
     """Raise the EscapeError of step i >= 1, which left the radius."""
-    zpart = buf[:i].copy()
+    zpart = z[:i].copy()
     raise EscapeError(
         f"trajectory escaped the domain radius at t={t[i]:g}",
         time=float(t[i - 1]),
-        state=PhasePoint.from_array(buf[i - 1]),
+        state=PhasePoint.from_array(z[i - 1]),
         trajectory=(Trajectory(t[:i], zpart, _energies(model, zpart))
                     if i >= 2 else None),
     )
@@ -86,9 +86,11 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
     r2 = escape_radius * escape_radius
 
     t = dt * np.arange(n_steps + 1)
-    buf = np.empty((n_steps + 1, 4))
-    buf[0] = (qx, qy, px, py)
-    for i in range(1, n_steps + 1):
+    # rows (qx, qy, px, py), flat; a count no memory holds fails here,
+    # before the first step
+    buf = memoryview(bytearray(32 * (n_steps + 1))).cast("d")
+    buf[0] = qx; buf[1] = qy; buf[2] = px; buf[3] = py
+    for j in range(4, 4 * n_steps + 4, 4):
         qx += a1 * px; qy += a1 * py
         fx, fy = force(qx, qy)
         px += b1 * fx; py += b1 * fy
@@ -101,31 +103,46 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
         qx += a1 * px; qy += a1 * py
         # NaN fails the comparison too, so blowups are caught here
         if not (qx * qx + qy * qy <= r2):
-            _escape(t, buf, i, model)
-        buf[i] = (qx, qy, px, py)
-    return Trajectory(t, buf, _energies(model, buf))
+            _escape(t, np.frombuffer(buf).reshape(-1, 4), j // 4, model)
+        buf[j] = qx; buf[j + 1] = qy; buf[j + 2] = px; buf[j + 3] = py
+    z = np.frombuffer(buf).reshape(-1, 4)
+    return Trajectory(t, z, _energies(model, z))
 
 
 def _tangent_steps(model, dt, state, n):
     """Advance (qx, qy, px, py, dqx, dqy, dpx, dpy) by n integrator steps.
 
     The tangent part takes the exact Jacobian of each substep: drifts
-    shear q by p/m, kicks shear p by -Hessian(q) q.
+    shear q by p/m, kicks shear p by -Hessian(q) q. The three (drift,
+    kick) stages (a1, b1), (a2, b0), (a2, b1) are written out, in the
+    order a stage loop would run them, to save the loop's own work.
     """
     qx, qy, px, py, dqx, dqy, dpx, dpy = state
     a1, a2, b1, b0 = _substeps(model, dt)
-    stages = ((a1, b1), (a2, b0), (a2, b1))
     force = model.force
     hess = model.hessian_xy
     for _ in range(n):
-        for a, b in stages:
-            qx += a * px; qy += a * py
-            dqx += a * dpx; dqy += a * dpy
-            fx, fy = force(qx, qy)
-            hxx, hxy, hyy = hess(qx, qy)
-            px += b * fx; py += b * fy
-            dpx -= b * (hxx * dqx + hxy * dqy)
-            dpy -= b * (hxy * dqx + hyy * dqy)
+        qx += a1 * px; qy += a1 * py
+        dqx += a1 * dpx; dqy += a1 * dpy
+        fx, fy = force(qx, qy)
+        hxx, hxy, hyy = hess(qx, qy)
+        px += b1 * fx; py += b1 * fy
+        dpx -= b1 * (hxx * dqx + hxy * dqy)
+        dpy -= b1 * (hxy * dqx + hyy * dqy)
+        qx += a2 * px; qy += a2 * py
+        dqx += a2 * dpx; dqy += a2 * dpy
+        fx, fy = force(qx, qy)
+        hxx, hxy, hyy = hess(qx, qy)
+        px += b0 * fx; py += b0 * fy
+        dpx -= b0 * (hxx * dqx + hxy * dqy)
+        dpy -= b0 * (hxy * dqx + hyy * dqy)
+        qx += a2 * px; qy += a2 * py
+        dqx += a2 * dpx; dqy += a2 * dpy
+        fx, fy = force(qx, qy)
+        hxx, hxy, hyy = hess(qx, qy)
+        px += b1 * fx; py += b1 * fy
+        dpx -= b1 * (hxx * dqx + hxy * dqy)
+        dpy -= b1 * (hxy * dqx + hyy * dqy)
         qx += a1 * px; qy += a1 * py
         dqx += a1 * dpx; dqy += a1 * dpy
     return qx, qy, px, py, dqx, dqy, dpx, dpy
@@ -292,8 +309,9 @@ def classify_scaling(series: DivergenceSeries, window=None,
 
 def detect_saturation(series: DivergenceSeries,
                       shell_diameter: float | None) -> float | None:
-    """First time separation > SATURATION_FRACTION * diameter, or None."""
-    if series.separation is None or shell_diameter is None:
+    """First time separation > SATURATION_FRACTION * diameter, or None;
+    None also for a zero diameter, which has no scale to saturate at."""
+    if series.separation is None or not shell_diameter:
         return None
     bound = SATURATION_FRACTION * shell_diameter
     hit = np.nonzero(series.separation > bound)[0]

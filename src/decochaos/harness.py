@@ -32,7 +32,7 @@ from .classical import (DEFAULT_ESCAPE_RADIUS, classify_scaling,
                         max_lyapunov, position_diameter, propagate)
 from .decoherence import (RegimeRun, asymptotic_exponent, compare_regimes,
                           hartree_error)
-from .errors import ConfigError, FitError, SimulationError
+from .errors import ConfigError, DomainError, FitError, SimulationError
 from .models import PhasePoint, make_model
 from .quantum import (Grid2D, ehrenfest_break_time, init_gaussian,
                       propagate_wavepacket, save_wavepacket)
@@ -589,6 +589,14 @@ class _OrbitPair:
     attempts: list
 
 
+def _scales_with(diam, key):
+    """Refuse a default for key that would scale with a zero diameter: a
+    start at rest at a fixed point."""
+    if diam == 0.0:
+        raise DomainError(f"{key}: the shell diameter of the start is 0, "
+                          f"so its default would be 0; set {key}")
+
+
 def _classical_pair(config, window=None) -> _OrbitPair:
     """The orbit pair of the first start, among initial.z and its
     alternates, whose growth-law fit expected_scaling does not flag (the
@@ -609,6 +617,7 @@ def _classical_pair(config, window=None) -> _OrbitPair:
         diam = position_diameter(traj)
         delta = config.initial.delta_z
         if delta is None:
+            _scales_with(diam, "initial.delta_z")
             scale = DEFAULT_DELTA_SCALE * diam / 2.0
             delta = (scale, scale, scale, scale)
         traj2 = (propagate(model, z0 + PhasePoint(*delta), integ.dt,
@@ -701,6 +710,10 @@ def _gamma_stage(config, run, dd, engine_label):
 
 
 def _quantum_stage(config, run, pair):
+    threshold = config.ehrenfest.threshold
+    if threshold is None:
+        _scales_with(pair.diam, "ehrenfest.threshold")
+        threshold = DEFAULT_THRESHOLD_FRACTION * pair.diam
     spec = config.grid
     grid = Grid2D(spec.nx, spec.ny, spec.lx, spec.ly, spec.hbar_eff)
     steps = (pair.model, config.integrator.dt, config.integrator.n_steps,
@@ -726,8 +739,6 @@ def _quantum_stage(config, run, pair):
         states["z1"], *steps)), propagate_wavepacket, states["z2"], *steps)
     z2 = settle("z2", *packet)
 
-    threshold = (config.ehrenfest.threshold
-                 or DEFAULT_THRESHOLD_FRACTION * pair.diam)
     run.results.update(ehrenfest_break_time=ehrenfest_break_time(
         z1, pair.traj, threshold), ehrenfest_threshold=threshold)
 

@@ -198,19 +198,20 @@ class HenonHeiles(HamiltonianModel):
         super().__init__(mass, lam=lam)
         if not lam > 0:
             raise DomainError("HenonHeiles coupling lam must be positive")
+        self._2lam = 2.0 * self.lam    # 2.0 * lam * q == _2lam * q, bitwise
 
     def potential_xy(self, qx, qy):
         return (0.5 * (qx ** 2 + qy ** 2)
                 + self.lam * (qx ** 2 * qy - qy ** 3 / 3.0))
 
     def force(self, qx, qy):
-        return (-(qx + 2.0 * self.lam * qx * qy),
+        return (-(qx + self._2lam * qx * qy),
                 -(qy + self.lam * (qx ** 2 - qy ** 2)))
 
     def hessian_xy(self, qx, qy):
-        return (1.0 + 2.0 * self.lam * qy,
-                2.0 * self.lam * qx,
-                1.0 - 2.0 * self.lam * qy)
+        return (1.0 + self._2lam * qy,
+                self._2lam * qx,
+                1.0 - self._2lam * qy)
 
 
 class PullenEdmonds(HamiltonianModel):
@@ -222,18 +223,20 @@ class PullenEdmonds(HamiltonianModel):
         super().__init__(mass, alpha=alpha)
         if not alpha > 0:
             raise DomainError("PullenEdmonds coupling alpha must be positive")
+        self._2alpha = 2.0 * self.alpha    # as in HenonHeiles
+        self._4alpha = 4.0 * self.alpha
 
     def potential_xy(self, qx, qy):
         return 0.5 * (qx ** 2 + qy ** 2) + self.alpha * qx ** 2 * qy ** 2
 
     def force(self, qx, qy):
-        return (-(qx + 2.0 * self.alpha * qx * qy ** 2),
-                -(qy + 2.0 * self.alpha * qx ** 2 * qy))
+        return (-(qx + self._2alpha * qx * qy ** 2),
+                -(qy + self._2alpha * qx ** 2 * qy))
 
     def hessian_xy(self, qx, qy):
-        return (1.0 + 2.0 * self.alpha * qy ** 2,
-                4.0 * self.alpha * qx * qy,
-                1.0 + 2.0 * self.alpha * qx ** 2)
+        return (1.0 + self._2alpha * qy ** 2,
+                self._4alpha * qx * qy,
+                1.0 + self._2alpha * qx ** 2)
 
 
 MODEL_FAMILIES = {

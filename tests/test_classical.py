@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decochaos.classical import (_tangent_steps, classify_scaling,
+from decochaos.classical import (_substeps, _tangent_steps, classify_scaling,
                                  detect_saturation,
                                  divergence_from_trajectories,
                                  divergence_integral, max_lyapunov,
@@ -110,7 +110,37 @@ def tangent_series(model, z0, v0, dt, n_steps):
     return out
 
 
+def rolled_tangent_steps(model, dt, state, n):
+    """_tangent_steps as a loop over its three (drift, kick) stages: the
+    reference its written-out stages must match bit for bit."""
+    qx, qy, px, py, dqx, dqy, dpx, dpy = state
+    a1, a2, b1, b0 = _substeps(model, dt)
+    for _ in range(n):
+        for a, b in ((a1, b1), (a2, b0), (a2, b1)):
+            qx += a * px; qy += a * py
+            dqx += a * dpx; dqy += a * dpy
+            fx, fy = model.force(qx, qy)
+            hxx, hxy, hyy = model.hessian_xy(qx, qy)
+            px += b * fx; py += b * fy
+            dpx -= b * (hxx * dqx + hxy * dqy)
+            dpy -= b * (hxy * dqx + hyy * dqy)
+        qx += a1 * px; qy += a1 * py
+        dqx += a1 * dpx; dqy += a1 * dpy
+    return qx, qy, px, py, dqx, dqy, dpx, dpy
+
+
 class TestTangent:
+    @pytest.mark.parametrize("model,z0", [
+        (HenonHeiles(1.0), Z_CHAOS),
+        (PullenEdmonds(1.0), PhasePoint(0.0, 0.8, 1.149, 0.2)),
+    ], ids=lambda m: getattr(m, "family", ""))
+    def test_unrolled_stages_match_the_stage_loop_bitwise(self, model, z0):
+        # both orbits are chaotic, so any reordered operation would
+        # show in the last bits long before 20 000 steps
+        state = (*z0.as_array().tolist(), 0.5, -0.5, 0.5, 0.5)
+        assert _tangent_steps(model, 0.02, state, 20_000) == \
+            rolled_tangent_steps(model, 0.02, state, 20_000)
+
     def test_harmonic_tangent_norm_bounded(self):
         model = Harmonic2D(1.0, 1.3)
         v = tangent_series(model, PhasePoint(1.0, 0.0, 0.0, 0.2),
@@ -343,6 +373,8 @@ class TestSaturationHelpers:
         series = DivergenceSeries(t, D, separation=sep)
         assert detect_saturation(series, 0.5) == pytest.approx(5.1, abs=0.1)
         assert detect_saturation(series, 10.0) is None
+        # a start at rest at a fixed point has no scale to saturate at
+        assert detect_saturation(series, 0.0) is None
 
     def test_position_diameter(self):
         traj = propagate(Harmonic2D(1.0, 1.0), PhasePoint(1, 0, 0, 0),

@@ -604,6 +604,53 @@ class TestRunExperiment:
             TRAJECTORY
         assert not os.path.exists(os.path.join(record.path, "quantum.csv"))
 
+    @staticmethod
+    def fixed_point_record(tmp_path, data):
+        """Run decohere on data; return its exit code and record."""
+        path = write_yaml(tmp_path, data)
+        assert cli_main(["validate-config", "--config", path]) == 0
+        code = cli_main(["decohere", "--config", path, "--out",
+                         str(tmp_path / "runs")])
+        (rundir,) = os.listdir(tmp_path / "runs")
+        with open(tmp_path / "runs" / rundir / "record.json") as fh:
+            return code, json.load(fh)
+
+    # at rest at the saddle point: the start's shell diameter is 0
+    FIXED_POINT = {"seed": 1, "engine": "classical",
+                   "model": {"family": "inverted_harmonic",
+                             "params": {"k": 1.0}},
+                   "initial": {"z": [0.0, 0.0, 0.0, 0.0]},
+                   "integrator": {"dt": 0.002, "n_steps": 750},
+                   "fit": {"expected_scaling": "exponential"}}
+
+    def test_fixed_point_start_needs_an_explicit_delta_z(self, tmp_path):
+        code, record = self.fixed_point_record(tmp_path, self.FIXED_POINT)
+        assert code == 2
+        assert record["error"]["type"] == "DomainError"
+        assert record["error"]["message"].startswith("initial.delta_z: ")
+        assert list(record["manifest"]) == ["config.snapshot"]
+
+    def test_fixed_point_packets_need_an_explicit_threshold(
+            self, tmp_path, monkeypatch):
+        def no_packet(*_args):
+            raise AssertionError("a packet ran")
+
+        monkeypatch.setattr(harness, "init_gaussian", no_packet)
+        data = {**self.FIXED_POINT, "engine": "both",
+                "initial": {"z": [0.0, 0.0, 0.0, 0.0],
+                            "delta_z": [1e-4, 0.0, 1e-4, 0.0]},
+                "grid": {"nx": 128, "ny": 128, "lx": 3.2, "ly": 3.2,
+                         "hbar_eff": 0.01, "widths": [0.0707, 0.0707],
+                         "sample_every": 10}}
+        code, record = self.fixed_point_record(tmp_path, data)
+        assert code == 2
+        assert record["error"]["type"] == "DomainError"
+        assert record["error"]["message"].startswith("ehrenfest.threshold: ")
+        # the classical stage ran and has no saturation at a zero scale
+        assert set(record["manifest"]) == {"config.snapshot", "classical.csv"}
+        assert record["results"]["shell_diameter"] == 0.0
+        assert record["results"]["saturation_time"] is None
+
     def test_alternate_initial_conditions_retried(self, tmp_path):
         # first z sits on a regular island; the alternate is chaotic
         data = {

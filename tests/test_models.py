@@ -23,7 +23,8 @@ ALL_MODELS = [
 
 def model_id(model):
     """A test id: the family class, its parameters, then the mass."""
-    mass, *params = vars(model).items()
+    mass, *params = ((k, v) for k, v in vars(model).items()
+                     if not k.startswith("_"))
     inner = ", ".join(f"{k}={v:g}" for k, v in [*params, mass])
     return f"{type(model).__name__}({inner})"
 
@@ -114,6 +115,32 @@ def test_hessian_matches_finite_differences(model):
         scale = max(1.0, float(np.max(np.abs(exact))))
         assert np.allclose(approx, exact, atol=1e-5 * scale)
         assert exact[0, 1] == exact[1, 0]
+
+
+def textbook_force_and_hessian(model, qx, qy):
+    """The chaotic families' force and Hessian as the formulas read."""
+    if isinstance(model, HenonHeiles):
+        lam = model.lam
+        return ((-(qx + 2.0 * lam * qx * qy),
+                 -(qy + lam * (qx ** 2 - qy ** 2))),
+                (1.0 + 2.0 * lam * qy, 2.0 * lam * qx, 1.0 - 2.0 * lam * qy))
+    alpha = model.alpha
+    return ((-(qx + 2.0 * alpha * qx * qy ** 2),
+             -(qy + 2.0 * alpha * qx ** 2 * qy)),
+            (1.0 + 2.0 * alpha * qy ** 2, 4.0 * alpha * qx * qy,
+             1.0 + 2.0 * alpha * qx ** 2))
+
+
+@pytest.mark.parametrize("model", [m for m in ALL_MODELS if isinstance(
+    m, (HenonHeiles, PullenEdmonds))], ids=model_id)
+def test_chaotic_force_and_hessian_are_the_formulas_bitwise(model):
+    # the stored constant products must leave every bit of the formula
+    grid = np.meshgrid(np.linspace(-1.3, 1.1, 41), np.linspace(-0.9, 1.2, 37))
+    for qx, qy in [*TEST_POINTS, (0.1 / 3.0, -2.0 / 7.0), grid]:
+        force, hess = textbook_force_and_hessian(model, qx, qy)
+        for got, want in zip((*model.force(qx, qy), *model.hessian_xy(qx, qy)),
+                             (*force, *hess)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @given(qx=st.floats(-3, 3), qy=st.floats(-3, 3))
