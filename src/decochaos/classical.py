@@ -208,17 +208,14 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
     )
 
 
-def divergence_from_trajectories(ta: Trajectory, tb: Trajectory,
-                                 dd=None) -> DivergenceSeries:
-    """Divergence series of two already-propagated orbits on one grid;
-    dd is their drive difference if the caller already built it."""
+def divergence_from_trajectories(model: HamiltonianModel, ta: Trajectory,
+                                 tb: Trajectory, dd=None) -> DivergenceSeries:
+    """Divergence series of two already-propagated orbits of model on one
+    grid; dd is their drive difference if the caller already built it."""
     dd = dd or DriveDifference.from_trajectories(ta, tb)
     D = cumulative_trapezoid(dd.squared_magnitude(), dd.dt)
     sep = np.sqrt(np.sum((tb.z - ta.z) ** 2, axis=1))
-    e0a, e0b = ta.energy[0], tb.energy[0]
-    scale = max(abs(e0a), abs(e0b), 1e-300)
-    drift = np.maximum(np.abs(ta.energy - e0a),
-                       np.abs(tb.energy - e0b)) / scale
+    drift = model.energy_drift(ta, tb)
     return DivergenceSeries(ta.t.copy(), D, separation=sep,
                             energy_drift=drift)
 
@@ -237,7 +234,7 @@ def divergence_integral(model: HamiltonianModel, z0: PhasePoint, delta_z,
     ta = propagate(model, z0, dt, n_steps, escape_radius)
     tb = (propagate(model, z0 + delta_z, dt, n_steps, escape_radius)
           if delta_z.as_array().any() else ta)
-    return divergence_from_trajectories(ta, tb)
+    return divergence_from_trajectories(model, ta, tb)
 
 
 @dataclass

@@ -55,7 +55,7 @@ def cmd_propagate(args):
               [traj.t, traj.z[:, 0], traj.z[:, 1], traj.z[:, 2],
                traj.z[:, 3], traj.energy])
     print(f"wrote {out} ({traj.t.size} samples, "
-          f"energy drift {traj.energy_drift():.3e})")
+          f"energy drift {model.energy_drift(traj).max():.3e})")
     return 0
 
 

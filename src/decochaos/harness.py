@@ -487,23 +487,13 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-@dataclass
 class RunRecord:
-    """Persisted description of one executed experiment."""
-
-    path: str
-    config: dict
-    manifest: dict
-    results: dict
-    checks: dict
-    error: dict | None = None
-
-
-class _RunDir:
-    """A run directory, <root>/<utc-timestamp>-<slug>, and the files,
-    tables, results and checks a run puts in it; ``record`` writes its
-    tables and record.json. root falls back to $DECOCHAOS_RUNS, then
-    ./runs; the wall clock starts at ``started``, else now."""
+    """One run: its directory, <root>/<utc-timestamp>-<slug>, and the
+    tables, results and checks put in it; ``record`` writes the tables
+    and record.json and returns the run. root falls back to
+    $DECOCHAOS_RUNS, then ./runs; the wall clock starts at ``started``,
+    else now. classical_gamma, the classical asymptotic exponent that
+    compare reads, is held in memory only (None if not computed)."""
 
     def __init__(self, root, slug, started=None):
         self.started = time.perf_counter() if started is None else started
@@ -517,7 +507,8 @@ class _RunDir:
             with contextlib.suppress(FileExistsError):
                 os.makedirs(self.path)
                 break
-        self.files, self.tables, self.results, self.checks = [], {}, {}, {}
+        self.tables, self.results, self.checks = {}, {}, {}
+        self.config = self.manifest = self.error = self.classical_gamma = None
 
     def columns(self, name, t, **columns):
         """Add named columns to table ``name``; its first ``t`` is kept."""
@@ -528,19 +519,19 @@ class _RunDir:
                              "pass": bool(passed)}
 
     def record(self, config, error=None) -> RunRecord:
-        """Write the tables, then record.json with the files' manifest."""
+        """Write the tables, then record.json with the manifest of every
+        other file in the directory; the written tables are let go."""
         try:
             for name, table in self.tables.items():
-                self.files.append(name)
                 write_csv(os.path.join(self.path, name), list(table),
                           list(table.values()))
         except ChildProcessError as exc:    # a forked write_csv half died
             error = error or {"type": type(exc).__name__, "message": str(exc)}
-        record = RunRecord(
-            path=self.path, config=config,
-            manifest={name: _sha256(os.path.join(self.path, name))
-                      for name in self.files},
-            results=self.results, checks=self.checks, error=error)
+        self.tables = {}
+        self.config, self.error = config, error
+        self.manifest = {name: _sha256(os.path.join(self.path, name))
+                         for name in sorted(os.listdir(self.path))
+                         if name != "record.json"}
         payload = {
             "schema_version": SCHEMA_VERSION,
             "package_version": __version__,
@@ -548,7 +539,8 @@ class _RunDir:
             "numpy_version": np.__version__,
             "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "wall_clock_seconds": time.perf_counter() - self.started,
-            **{k: v for k, v in vars(record).items() if k != "path"},
+            **{k: getattr(self, k) for k in ("config", "manifest", "results",
+                                             "checks", "error")},
         }
         with open(os.path.join(self.path, "record.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
@@ -556,7 +548,7 @@ class _RunDir:
             json.dump(payload, fh, indent=2, sort_keys=True,
                       default=lambda o: o.tolist())
             fh.write("\n")
-        return record
+        return self
 
 
 def _fit_to_dict(fit):
@@ -624,7 +616,7 @@ def _classical_pair(config, window=None) -> _OrbitPair:
                            integ.n_steps, integ.escape_radius)
                  if any(delta) else traj)
         dd = DriveDifference.from_trajectories(traj, traj2)
-        div = divergence_from_trajectories(traj, traj2, dd)
+        div = divergence_from_trajectories(model, traj, traj2, dd)
         del traj2    # spent; freed before the fit's temporaries
         try:
             fit = classify_scaling(div, window or config.fit.window, diam)
@@ -728,9 +720,7 @@ def _quantum_stage(config, run, pair):
             f"{tag}_mean_qx": mean[:, 0], f"{tag}_mean_qy": mean[:, 1],
             f"{tag}_var_qx": var[:, 0], f"{tag}_var_qy": var[:, 1]})
         if spec.save_snapshots:
-            snap = f"psi_{tag}.bin"
-            save_wavepacket(final, os.path.join(run.path, snap))
-            run.files.extend([snap, snap + ".hdr"])
+            save_wavepacket(final, os.path.join(run.path, f"psi_{tag}.bin"))
         return exp_series
 
     # the packets are independent: z2 advances in a forked child while z1
@@ -755,33 +745,27 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     Module failures are captured in the record (with whatever partial
     outputs already exist) rather than aborting the process.
     """
-    return _run(config, out_dir)[0]
-
-
-def _run(config, out_dir):
-    """run_experiment, plus the classical asymptotic exponent it holds in
-    memory (None if not computed)."""
-    run = _RunDir(out_dir or config.output_dir,
-                  config.slug or f"{config.model.family}-{config.engine}")
-    error = gamma = None
+    run = RunRecord(out_dir or config.output_dir,
+                    config.slug or f"{config.model.family}-{config.engine}")
+    error = None
 
     with open(os.path.join(run.path, "config.snapshot"), "w",
               encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(asdict(config), fh, sort_keys=True)
-    run.files.append("config.snapshot")
 
     try:
         pair = _classical_pair(config)
         _classical_stage(config, run, pair)
         if config.engine in ("classical", "both"):
-            gamma = _gamma_stage(config, run, pair.dd, "classical")
+            run.classical_gamma = _gamma_stage(config, run, pair.dd,
+                                               "classical")
         if config.engine in ("quantum", "both"):
             _gamma_stage(config, run, _quantum_stage(config, run, pair),
                          "quantum")
     except (SimulationError, MemoryError, ChildProcessError) as exc:
         # ChildProcessError: a forked helper (_beside) died without a result
         error = {"type": type(exc).__name__, "message": str(exc)}
-    return run.record(asdict(config), error), gamma
+    return run.record(asdict(config), error)
 
 
 def compare_command(config_regular: ExperimentConfig,
@@ -826,22 +810,22 @@ def compare_command(config_regular: ExperimentConfig,
     started = time.perf_counter()
     # the chaotic sub-run runs in a forked child beside the regular one
     try:
-        regular, chaotic = _beside(lambda: _run(config_regular, out_dir),
-                                   _run, config_chaotic, out_dir)
+        regular, chaotic = _beside(
+            lambda: run_experiment(config_regular, out_dir), run_experiment,
+            config_chaotic, out_dir)
     except ChildProcessError as exc:
         raise SimulationError(f"chaotic run failed: {exc}") from None
     report = {}
 
-    def regime(cfg, label, outcome):
+    def regime(cfg, label, rec):
         # the sub-run's record holds its growth-law fit and Lyapunov estimate
-        rec, gamma = outcome
         if rec.error is not None:
             raise SimulationError(f"{label} run failed: {rec.error}")
         report[f"{label}_run"] = rec.path
         report[f"{label}_fit"] = rec.results["divergence_fit"]
         report[f"lyapunov_{label}"] = rec.results.get(
             "lyapunov", {}).get("lambda_max")
-        return RegimeRun(label=label, gamma=gamma,
+        return RegimeRun(label=label, gamma=rec.classical_gamma,
                          ehrenfest_t_max=cfg.ehrenfest.t_max)
 
     reg = regime(config_regular, "regular", regular)
@@ -849,7 +833,7 @@ def compare_command(config_regular: ExperimentConfig,
     comparison = compare_regimes(reg, cha, reg.gamma.t)
 
     # comparison artifacts live in their own run directory
-    run = _RunDir(out_dir or config_chaotic.output_dir, "compare", started)
+    run = RunRecord(out_dir or config_chaotic.output_dir, "compare", started)
     run.columns("gamma_ratio.csv", t=comparison.t, ratio=comparison.ratio)
     windows = {"regular": config_regular.ehrenfest.t_max,
                "chaotic": config_chaotic.ehrenfest.t_max}

@@ -10,6 +10,7 @@ bookkeeping runs vectorized.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,19 @@ class HamiltonianModel:
 
     def kinetic_energy(self, px, py):
         return (px ** 2 + py ** 2) / (2.0 * self.mass)
+
+    def energy_drift(self, *orbits) -> np.ndarray:
+        """Relative energy drift of orbits on one time grid, per sample:
+        the largest |E(t) - E(0)| among them over the largest |E(0)|, or,
+        if every E(0) is 0, over the largest kinetic energy any of them
+        reaches; orbits that never move read 0."""
+        dev = functools.reduce(np.maximum, (np.abs(o.energy - o.energy[0])
+                                            for o in orbits))
+        scale = max(abs(o.energy[0]) for o in orbits)
+        if scale == 0:
+            scale = max(np.max(self.kinetic_energy(o.z[:, 2], o.z[:, 3]))
+                        for o in orbits)
+        return dev / scale if scale > 0 else dev
 
 
 class Harmonic2D(HamiltonianModel):

@@ -103,12 +103,6 @@ class Trajectory:
     def positions(self) -> np.ndarray:
         return self.z[:, :2]
 
-    def energy_drift(self) -> float:
-        """Max relative energy deviation from the initial value."""
-        e0 = self.energy[0]
-        scale = max(abs(e0), 1e-300)
-        return float(np.max(np.abs(self.energy - e0)) / scale)
-
 
 @dataclass
 class ExpectationSeries:

@@ -418,25 +418,72 @@ class TestRunExperiment:
         assert header(run_dir / "quantum.csv").split(",") == [
             "t", *(f"z1_{name}" for name in PACKET)]
 
-    @pytest.mark.parametrize("data, tables", [
-        (SMALL_RUN, {"classical.csv"}),
-        (BOTH_RUN, {"classical.csv", "quantum.csv"})],
-        ids=["classical", "both"])
+    @pytest.mark.parametrize("data, command, files", [
+        (SMALL_RUN, "decohere", {"config.snapshot", "classical.csv"}),
+        (BOTH_RUN, "decohere", {"config.snapshot", "classical.csv",
+                                "quantum.csv"}),
+        (SMALL_RUN, "no-memory", {"config.snapshot", "classical.csv"}),
+        ({**BOTH_RUN, "grid": {**BOTH_RUN["grid"], "save_snapshots": True}},
+         "decohere", {"config.snapshot", "classical.csv", "quantum.csv",
+                      "psi_z1.bin", "psi_z1.bin.hdr", "psi_z2.bin",
+                      "psi_z2.bin.hdr"}),
+        (SMALL_RUN, "compare", {"gamma_ratio.csv"})],
+        ids=["classical", "both", "oracle-memory-error", "snapshots",
+             "compare"])
     def test_run_directory_holds_the_manifest_and_record(
-            self, tmp_path, no_child_left, data, tables):
-        # no temporary file of a forked write_csv half is left behind
+            self, tmp_path, monkeypatch, no_child_left, data, command, files):
+        # the manifest is every file but record.json: no temporary file
+        # of a forked write_csv half is left behind to be manifested
+        if command == "no-memory":
+            monkeypatch.setattr(harness, "decoherence_exponent_oracle",
+                                no_memory)
+        cfg = load_config(write_yaml(tmp_path, data))
+        root = str(tmp_path / "runs")
+        record = (compare_command(cfg, cfg, root) if command == "compare"
+                  else run_experiment(cfg, root))
+        assert (record.error is None) == (command != "no-memory")
+        assert set(record.manifest) == files
+        assert sorted(os.listdir(record.path)) == sorted(
+            [*files, "record.json"])
+
+    def test_classical_gamma_is_the_recorded_column(self, tmp_path):
+        # compare reads a sub-run's exponent from memory; %.17g round-trips
+        # a double, so the column holds the same bits
+        cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        t, gamma = read_columns(os.path.join(record.path, "classical.csv"),
+                                "t", "gamma_asymptotic")
+        assert record.classical_gamma.t.tobytes() == t.tobytes()
+        assert record.classical_gamma.gamma.tobytes() == gamma.tobytes()
+
+    def test_quantum_run_holds_no_classical_gamma(self, tmp_path):
+        cfg = load_config(write_yaml(tmp_path, {**BOTH_RUN,
+                                                "engine": "quantum"}))
+        record = run_experiment(cfg, str(tmp_path / "runs"))
+        assert record.error is None
+        assert record.classical_gamma is None
+        # in memory only: record.json holds no such key
+        text = Path(record.path, "record.json").read_text()
+        assert "classical_gamma" not in text
+
+    def test_zero_energy_start_has_a_finite_energy_drift(self, tmp_path):
+        # E(0) = 0 on both orbits: the origin at rest and a displacement
+        # along the saddle's unstable direction, so the drift is scaled by
+        # the largest kinetic energy
+        data = {**MINIMAL, "model": {"family": "inverted_harmonic",
+                                     "params": {"k": 1.0}},
+                "initial": {"z": [0.0, 0.0, 0.0, 0.0],
+                            "delta_z": [1e-4, 0.0, 1e-4, 0.0]},
+                "integrator": {"dt": 0.002, "n_steps": 750}}
         cfg = load_config(write_yaml(tmp_path, data))
         record = run_experiment(cfg, str(tmp_path / "runs"))
         assert record.error is None
-        assert set(record.manifest) == {"config.snapshot", *tables}
-        assert sorted(os.listdir(record.path)) == sorted(
-            [*record.manifest, "record.json"])
+        assert record.results["initial_energy"] == 0.0
+        assert record.checks["energy_drift"]["pass"]
+        assert 0.0 < record.results["energy_drift"] <= 1e-6
 
     def test_oracle_memory_error_keeps_the_classical_columns(
             self, tmp_path, monkeypatch):
-        def no_memory(*_args):
-            raise MemoryError("Unable to allocate 8.00 TiB")
-
         monkeypatch.setattr(harness, "decoherence_exponent_oracle", no_memory)
         cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
         record = run_experiment(cfg, str(tmp_path / "runs"))
@@ -460,9 +507,10 @@ class TestRunExperiment:
         cfg = load_config(write_yaml(tmp_path, data))
         record = run_experiment(cfg, str(tmp_path / "runs"))
         assert record.error is None
-        z1, z2 = (classical.propagate(cfg.model.build(), PhasePoint(*z),
-                                      0.05, 400).energy_drift()
-                  for z in ((0.2, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
+        model = cfg.model.build()
+        z1, z2 = (model.energy_drift(classical.propagate(
+            model, PhasePoint(*z), 0.05, 400)).max()
+            for z in ((0.2, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)))
         assert z1 < 1e-7 < z2
         drift = record.results["energy_drift"]
         assert drift == pytest.approx(z2, rel=1e-12)
@@ -548,7 +596,7 @@ class TestRunExperiment:
         assert payload["package_version"]
 
     def test_record_writes_numpy_values_as_json_numbers(self, tmp_path):
-        run = harness._RunDir(str(tmp_path), "numpy")
+        run = harness.RunRecord(str(tmp_path), "numpy")
         run.results.update(f=np.float64(0.1), b=np.bool_(True),
                            i=np.int64(3), a=np.array([1.0, 2.5]))
         run.check("c", np.float64(0.25), np.int64(1), np.bool_(True))
@@ -852,14 +900,14 @@ class TestCompareCommand:
             self, tmp_path, monkeypatch, capsys, no_child_left):
         # the chaotic sub-run is the one that runs in a forked child
         parent = os.getpid()
-        real = harness._run
+        real = harness.run_experiment
 
         def dying(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return real(*args)
 
-        monkeypatch.setattr(harness, "_run", dying)
+        monkeypatch.setattr(harness, "run_experiment", dying)
         path = write_yaml(tmp_path, SMALL_RUN)
         runs = tmp_path / "runs"
         assert cli_main(["compare", "--config", path, "--config-chaotic",
@@ -938,6 +986,10 @@ def single_process_csv(header, columns):
 
 def nothing():
     return None
+
+
+def no_memory(*_args):
+    raise MemoryError("Unable to allocate 8.00 TiB")
 
 
 class TestForked:
@@ -1132,6 +1184,20 @@ class TestCli:
         assert cli_main(["propagate", "--config", path, "--out", out]) == 0
         assert header(out) == "t,qx,qy,px,py,energy"
 
+    def test_propagate_of_a_zero_energy_start_reports_a_finite_drift(
+            self, tmp_path, capsys):
+        # E(0) = 0 on the saddle's unstable direction
+        data = {**MINIMAL, "model": {"family": "inverted_harmonic",
+                                     "params": {"k": 1.0}},
+                "initial": {"z": [1e-4, 0.0, 1e-4, 0.0]},
+                "integrator": {"dt": 0.002, "n_steps": 750}}
+        out = str(tmp_path / "traj.csv")
+        assert cli_main(["propagate", "--config", write_yaml(tmp_path, data),
+                         "--out", out]) == 0
+        printed = capsys.readouterr().out
+        drift = float(printed.rpartition("energy drift ")[2].rstrip(")\n"))
+        assert 0.0 < drift <= 1e-6
+
     @pytest.mark.parametrize("change", [
         {"fit": {"window": "70, 300"}},
         {"fit": [70.0, 300.0]},
@@ -1281,9 +1347,6 @@ class TestCli:
         assert cli_main(["validate-config", "--config", path]) == 0
 
     def test_memory_error_leaves_a_record(self, tmp_path, monkeypatch):
-        def no_memory(*_args):
-            raise MemoryError("Unable to allocate 8.00 TiB")
-
         monkeypatch.setattr("decochaos.harness.discretize_bath", no_memory)
         path = write_yaml(tmp_path, SMALL_RUN)
         code = cli_main(["decohere", "--config", path, "--out",

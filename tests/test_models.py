@@ -6,6 +6,7 @@ from decochaos.errors import DomainError
 from decochaos.models import (MODEL_FAMILIES, Harmonic2D, HenonHeiles,
                               InvertedHarmonic, PhasePoint, PullenEdmonds,
                               SeparableQuartic, make_model)
+from decochaos.series import Trajectory
 
 ALL_MODELS = [
     Harmonic2D(1.0, 1.0),
@@ -161,6 +162,30 @@ class TestTotalEnergy:
             if model.potential_xy(0.0, 0.0) == 0.0:
                 expected = 0.5 / model.mass
                 assert model.total_energy(z) == pytest.approx(expected)
+
+
+def orbit(energy, p=0.0):
+    """A three-sample Trajectory with the given energies and px = p."""
+    z = np.zeros((3, 4))
+    z[:, 2] = p
+    return Trajectory(np.arange(3.0), z, np.asarray(energy, dtype=float))
+
+
+class TestEnergyDrift:
+    def test_scaled_by_the_larger_initial_energy(self):
+        a, b = orbit([2.0, 2.5, 1.0]), orbit([-4.0, -4.0, -3.0])
+        drift = Harmonic2D(1.0, 1.0).energy_drift(a, b)
+        assert drift.tolist() == [0.0, 0.5 / 4.0, 1.0 / 4.0]
+
+    def test_zero_energy_scaled_by_the_largest_kinetic_energy(self):
+        # mass 2: the kinetic energy p^2 / 4 peaks at 0.25 on the moving orbit
+        a, b = orbit([0.0, 0.0, 0.0]), orbit([0.0, 1e-3, -2e-3], p=1.0)
+        drift = Harmonic2D(1.0, 1.0, mass=2.0).energy_drift(a, b)
+        assert drift.tolist() == [0.0, 1e-3 / 0.25, 2e-3 / 0.25]
+
+    def test_orbits_that_never_move_read_zero(self):
+        drift = InvertedHarmonic(1.0).energy_drift(orbit([0.0, 0.0, 0.0]))
+        assert drift.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestRegistry:
