@@ -54,30 +54,13 @@ def _substeps(model, dt):
     return _C1 * dt * inv_m, _C2 * dt * inv_m, _W1 * dt, _W0 * dt
 
 
-def _escape(t, z, i, model):
-    """Raise the EscapeError of step i >= 1, which left the radius."""
-    zpart = z[:i].copy()
-    raise EscapeError(
-        f"trajectory escaped the domain radius at t={t[i]:g}",
-        time=float(t[i - 1]),
-        state=PhasePoint.from_array(z[i - 1]),
-        trajectory=(Trajectory(t[:i], zpart, _energies(model, zpart))
-                    if i >= 2 else None),
-    )
-
-
-def _energies(model, z):
-    return (model.kinetic_energy(z[:, 2], z[:, 3])
-            + model.potential_xy(z[:, 0], z[:, 1]))
-
-
 def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
               n_steps: int,
               escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> Trajectory:
     """Advance z0 by n_steps symplectic steps of size dt.
 
-    Raises EscapeError (carrying the last valid sample and any partial
-    trajectory) if the position leaves the disc of radius escape_radius.
+    Raises EscapeError, naming the time of the first sample outside, if
+    the position leaves the disc of radius escape_radius.
     """
     _check_step(dt, n_steps)
     qx, qy, px, py = z0.qx, z0.qy, z0.px, z0.py
@@ -103,10 +86,12 @@ def propagate(model: HamiltonianModel, z0: PhasePoint, dt: float,
         qx += a1 * px; qy += a1 * py
         # NaN fails the comparison too, so blowups are caught here
         if not (qx * qx + qy * qy <= r2):
-            _escape(t, np.frombuffer(buf).reshape(-1, 4), j // 4, model)
+            raise EscapeError(f"trajectory escaped the domain radius at "
+                              f"t={t[j // 4]:g}")
         buf[j] = qx; buf[j + 1] = qy; buf[j + 2] = px; buf[j + 3] = py
     z = np.frombuffer(buf).reshape(-1, 4)
-    return Trajectory(t, z, _energies(model, z))
+    return Trajectory(t, z, model.kinetic_energy(z[:, 2], z[:, 3])
+                      + model.potential_xy(z[:, 0], z[:, 1]))
 
 
 def _tangent_steps(model, dt, state, n):
@@ -188,17 +173,15 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
     for block in range(n_renorms):
         qx, qy, px, py, dqx, dqy, dpx, dpy = _tangent_steps(model, dt, state,
                                                             k)
+        elapsed = (block + 1) * k * dt
         if not (qx * qx + qy * qy <= r2):
-            raise EscapeError(
-                "orbit escaped during Lyapunov estimation",
-                time=(block * k) * dt,
-                state=PhasePoint(qx, qy, px, py) if all(map(
-                    math.isfinite, (qx, qy, px, py))) else None)
+            raise EscapeError(f"orbit escaped during Lyapunov estimation, "
+                              f"between t={block * k * dt:g} and "
+                              f"t={elapsed:g}")
         stretch = math.sqrt(dqx * dqx + dqy * dqy + dpx * dpx + dpy * dpy)
         log_sum += math.log(stretch)
         inv = 1.0 / stretch
         state = (qx, qy, px, py, dqx * inv, dqy * inv, dpx * inv, dpy * inv)
-        elapsed = (block + 1) * k * dt
         conv[block] = (elapsed, log_sum / elapsed)
     return LyapunovEstimate(
         lambda_max=float(conv[-1, 1]),

@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 configuration/validation error or a file that
-cannot be read or written, 2 runtime failure (partial outputs are kept
-in the run directory).
+cannot be read or written, 2 runtime failure, a MemoryError included
+(partial outputs are kept in the run directory).
 """
 from __future__ import annotations
 
@@ -11,8 +11,7 @@ import json
 import os
 import sys
 
-from .classical import (classify_scaling, max_lyapunov, position_diameter,
-                        propagate)
+from .classical import classify_scaling, position_diameter
 from .errors import ConfigError, SimulationError
 from .harness import (ENGINES, OUTPUT_ROOT_ENV, compare_command,
                       load_config, run_experiment, write_csv)
@@ -48,9 +47,7 @@ def cmd_propagate(args):
     config = _load(args)
     out = _writable(args.out or "trajectory.csv")
     model = config.model.build()
-    integ = config.integrator
-    traj = propagate(model, PhasePoint(*config.initial.z), integ.dt,
-                     integ.n_steps, integ.escape_radius)
+    traj = config.orbit(model, PhasePoint(*config.initial.z))
     write_csv(out, ["t", "qx", "qy", "px", "py", "energy"],
               [traj.t, traj.z[:, 0], traj.z[:, 1], traj.z[:, 2],
                traj.z[:, 3], traj.energy])
@@ -64,13 +61,8 @@ def cmd_lyapunov(args):
     if config.lyapunov is None:
         raise ConfigError(["lyapunov: section is required for this command"])
     out = _writable(args.out or "lyapunov.csv")
-    model = config.model.build()
-    integ = config.integrator
-    est = max_lyapunov(model, PhasePoint(*config.initial.z),
-                       config.lyapunov.dt or integ.dt,
-                       config.lyapunov.total_time,
-                       config.lyapunov.renorm_interval, config.seed,
-                       integ.escape_radius)
+    est = config.lyapunov_estimate(config.model.build(),
+                                   PhasePoint(*config.initial.z))
     write_csv(out, ["t", "lambda_running"],
               [est.convergence[:, 0], est.convergence[:, 1]])
     print(f"lambda_max = {est.lambda_max:.6g} "
@@ -211,8 +203,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SimulationError, ChildProcessError) as exc:
-        # ChildProcessError: a forked helper died without a result
+    except (SimulationError, MemoryError, ChildProcessError) as exc:
+        # MemoryError: a count no memory holds, such as an orbit of 2**40
+        # steps; ChildProcessError: a forked helper died without a result
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

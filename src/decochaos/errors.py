@@ -10,21 +10,8 @@ class DomainError(SimulationError, ValueError):
 
 
 class EscapeError(SimulationError):
-    """A trajectory left the configured simulation domain.
-
-    Carries the last valid sample so a caller can keep partial output.
-    """
-
-    def __init__(self, message, time, state, trajectory=None):
-        super().__init__(message)
-        self.time = time
-        self.state = state
-        self.trajectory = trajectory
-
-    def __reduce__(self):
-        # pickle rebuilds an exception from its constructor's arguments,
-        # as a forked child's exception crosses the pipe (harness._beside)
-        return type(self), (str(self), self.time, self.state, self.trajectory)
+    """A trajectory left the configured simulation domain; the message
+    names when."""
 
 
 class FitError(SimulationError):

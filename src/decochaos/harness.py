@@ -221,9 +221,21 @@ class ExperimentConfig:
     bath: BathSpec | None = None
     fit: FitSpec = field(default_factory=FitSpec)
     ehrenfest: EhrenfestSpec = field(default_factory=EhrenfestSpec)
-    output_dir: str | None = None
     slug: str | None = None
     schema_version: int = SCHEMA_VERSION
+
+    def orbit(self, model, z0):
+        """The orbit of z0 by the integrator section."""
+        integ = self.integrator
+        return propagate(model, z0, integ.dt, integ.n_steps,
+                         integ.escape_radius)
+
+    def lyapunov_estimate(self, model, z0):
+        """max_lyapunov of z0 by the lyapunov section, stepping at its dt,
+        else integrator.dt, with the config's seed and escape radius."""
+        ly, integ = self.lyapunov, self.integrator
+        return max_lyapunov(model, z0, ly.dt or integ.dt, ly.total_time,
+                            ly.renorm_interval, self.seed, integ.escape_radius)
 
 
 def _parse_config(data: dict) -> ExperimentConfig:
@@ -262,9 +274,6 @@ def _parse_config(data: dict) -> ExperimentConfig:
     elif slug is not None and len(os.fsencode(slug)) > 232:
         # a file name holds 255 bytes: <22-character stamp>-<slug>
         errors.append("slug: must be at most 232 bytes")
-    output_dir = data["output_dir"]
-    if output_dir is not None and not _path_text(output_dir):
-        errors.append("output_dir: must be a path string without NUL")
 
     seed = model = initial = integ = lyap = grid = bath = None
     fit, ehren = FitSpec(), EhrenfestSpec()
@@ -384,7 +393,7 @@ def _parse_config(data: dict) -> ExperimentConfig:
     return ExperimentConfig(
         seed=seed, model=model, initial=initial, integrator=integ,
         engine=engine, lyapunov=lyap, grid=grid, bath=bath, fit=fit,
-        ehrenfest=ehren, output_dir=output_dir, slug=slug)
+        ehrenfest=ehren, slug=slug)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
@@ -508,7 +517,7 @@ class RunRecord:
                 os.makedirs(self.path)
                 break
         self.tables, self.results, self.checks = {}, {}, {}
-        self.config = self.manifest = self.error = self.classical_gamma = None
+        self.manifest = self.error = self.classical_gamma = None
 
     def columns(self, name, t, **columns):
         """Add named columns to table ``name``; its first ``t`` is kept."""
@@ -518,7 +527,7 @@ class RunRecord:
         self.checks[name] = {"value": value, "bound": bound,
                              "pass": bool(passed)}
 
-    def record(self, config, error=None) -> RunRecord:
+    def record(self, error=None) -> RunRecord:
         """Write the tables, then record.json with the manifest of every
         other file in the directory; the written tables are let go."""
         try:
@@ -528,7 +537,7 @@ class RunRecord:
         except ChildProcessError as exc:    # a forked write_csv half died
             error = error or {"type": type(exc).__name__, "message": str(exc)}
         self.tables = {}
-        self.config, self.error = config, error
+        self.error = error
         self.manifest = {name: _sha256(os.path.join(self.path, name))
                          for name in sorted(os.listdir(self.path))
                          if name != "record.json"}
@@ -539,8 +548,8 @@ class RunRecord:
             "numpy_version": np.__version__,
             "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "wall_clock_seconds": time.perf_counter() - self.started,
-            **{k: getattr(self, k) for k in ("config", "manifest", "results",
-                                             "checks", "error")},
+            **{k: getattr(self, k) for k in ("manifest", "results", "checks",
+                                             "error")},
         }
         with open(os.path.join(self.path, "record.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
@@ -599,22 +608,19 @@ def _classical_pair(config, window=None) -> _OrbitPair:
     saturation-aware default; a FitError means no fit (None).
     """
     model = config.model.build()
-    integ = config.integrator
     expected = config.fit.expected_scaling
     attempts = []
     for z_raw in (config.initial.z, *config.initial.alternates):
         z0 = PhasePoint(*z_raw)
-        traj = propagate(model, z0, integ.dt, integ.n_steps,
-                         integ.escape_radius)
+        traj = config.orbit(model, z0)
         diam = position_diameter(traj)
         delta = config.initial.delta_z
         if delta is None:
             _scales_with(diam, "initial.delta_z")
             scale = DEFAULT_DELTA_SCALE * diam / 2.0
             delta = (scale, scale, scale, scale)
-        traj2 = (propagate(model, z0 + PhasePoint(*delta), integ.dt,
-                           integ.n_steps, integ.escape_radius)
-                 if any(delta) else traj)
+        traj2 = (config.orbit(model, z0 + PhasePoint(*delta)) if any(delta)
+                 else traj)
         dd = DriveDifference.from_trajectories(traj, traj2)
         div = divergence_from_trajectories(model, traj, traj2, dd)
         del traj2    # spent; freed before the fit's temporaries
@@ -656,10 +662,7 @@ def _classical_stage(config, run, pair):
               drift <= integ.energy_drift_bound)
 
     if config.lyapunov is not None:
-        est = max_lyapunov(pair.model, z0, config.lyapunov.dt or integ.dt,
-                           config.lyapunov.total_time,
-                           config.lyapunov.renorm_interval, config.seed,
-                           integ.escape_radius)
+        est = config.lyapunov_estimate(pair.model, z0)
         run.results["lyapunov"] = {
             "lambda_max": est.lambda_max,
             "renorm_interval": est.renorm_interval,
@@ -745,7 +748,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     Module failures are captured in the record (with whatever partial
     outputs already exist) rather than aborting the process.
     """
-    run = RunRecord(out_dir or config.output_dir,
+    run = RunRecord(out_dir,
                     config.slug or f"{config.model.family}-{config.engine}")
     error = None
 
@@ -765,7 +768,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
     except (SimulationError, MemoryError, ChildProcessError) as exc:
         # ChildProcessError: a forked helper (_beside) died without a result
         error = {"type": type(exc).__name__, "message": str(exc)}
-    return run.record(asdict(config), error)
+    return run.record(error)
 
 
 def compare_command(config_regular: ExperimentConfig,
@@ -833,7 +836,7 @@ def compare_command(config_regular: ExperimentConfig,
     comparison = compare_regimes(reg, cha, reg.gamma.t)
 
     # comparison artifacts live in their own run directory
-    run = RunRecord(out_dir or config_chaotic.output_dir, "compare", started)
+    run = RunRecord(out_dir, "compare", started)
     run.columns("gamma_ratio.csv", t=comparison.t, ratio=comparison.ratio)
     windows = {"regular": config_regular.ehrenfest.t_max,
                "chaotic": config_chaotic.ehrenfest.t_max}
@@ -844,5 +847,4 @@ def compare_command(config_regular: ExperimentConfig,
     run.check("dominance", comparison.dominates, True, comparison.dominates)
     run.check("t_star_within_ehrenfest", comparison.t_star, windows,
               comparison.within_ehrenfest)
-    return run.record({"regular": asdict(config_regular),
-                       "chaotic": asdict(config_chaotic)})
+    return run.record()

@@ -53,15 +53,14 @@ class TestPropagate:
         assert model.energy_drift(traj).max() <= 1e-8
 
     def test_escape_carries_last_valid_sample(self):
-        model = InvertedHarmonic(1.0)
-        with pytest.raises(EscapeError) as exc:
-            propagate(model, PhasePoint(0.1, 0.0, 0.0, 0.0), 0.01, 5000,
-                      escape_radius=10.0)
-        err = exc.value
-        assert err.state is not None
-        assert err.state.qx <= 10.0
-        assert err.trajectory is not None
-        assert err.trajectory.t[-1] == pytest.approx(err.time)
+        # 0.1 cosh t passes the radius 10 at t = acosh(100) = 5.298: the
+        # message names the first sample outside, and the sample before
+        # it is the orbit's last valid one
+        model, z0 = InvertedHarmonic(1.0), PhasePoint(0.1, 0.0, 0.0, 0.0)
+        with pytest.raises(EscapeError, match=r"radius at t=5\.3$"):
+            propagate(model, z0, 0.01, 5000, escape_radius=10.0)
+        last = propagate(model, z0, 0.01, 529, escape_radius=10.0).z[-1]
+        assert 9.9 < last[0] <= 10.0
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_escape_at_an_early_step(self, step):
@@ -70,13 +69,8 @@ class TestPropagate:
         with pytest.raises(EscapeError) as exc:
             propagate(SeparableQuartic(0.0, 0.0), z0, 0.01, 10,
                       escape_radius=10.0)
-        err = exc.value
-        assert err.time == pytest.approx(0.01 * (step - 1))
-        if step == 1:
-            assert err.state == z0 and err.trajectory is None
-        else:
-            assert err.trajectory.t.size == 2
-            assert err.state == PhasePoint.from_array(err.trajectory.z[-1])
+        assert str(exc.value) == ("trajectory escaped the domain radius at "
+                                  f"t={0.01 * step:g}")
 
     def test_argument_validation(self):
         model = Harmonic2D(1.0, 1.0)
@@ -231,6 +225,13 @@ class TestMaxLyapunov:
                            seed=SEED)
         assert est.lambda_max > 0.0
         assert est.lambda_max == pytest.approx(LAMBDA_BASELINE, rel=0.03)
+
+    def test_escape_names_its_time(self):
+        # 0.1 cosh t passes the radius 10 at t = acosh(100) = 5.298, in the
+        # sixth renormalization block of length 1
+        with pytest.raises(EscapeError, match=r"between t=5 and t=6$"):
+            max_lyapunov(InvertedHarmonic(1.0), PhasePoint(0.1, 0, 0, 0),
+                         0.01, 100.0, 1.0, seed=SEED, escape_radius=10.0)
 
     def test_precondition_enforced(self):
         with pytest.raises(DomainError):

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy import euler_gamma
 from scipy.special import sici
 
+from decochaos.classical import propagate
 from decochaos.decoherence import (HartreeErrorEstimate, RegimeRun,
                                    asymptotic_exponent, compare_regimes,
                                    hartree_error, weight_w)
 from decochaos.errors import DomainError, GridMismatchError
+from decochaos.models import InvertedHarmonic, PhasePoint
+from decochaos.quantum import Grid2D, init_gaussian, propagate_wavepacket
 from decochaos.series import (DecoherenceSeries, DriveDifference,
                               ExpectationSeries)
 
@@ -224,3 +229,54 @@ class TestCompareRegimes:
         cha = RegimeRun("c", synthetic_gamma(t_short, 2 * t_short))
         with pytest.raises(GridMismatchError):
             compare_regimes(reg, cha, t_long)
+
+
+class TestSaddleGammaChain:
+    """On InvertedHarmonic(k), lambda = sqrt(k), the Hamiltonian is
+    quadratic, so packet means follow classical orbits exactly (Ehrenfest)
+    and the quantum gamma chain (split-step, moments, drive difference,
+    asymptotic exponent) has an exact answer: the classical gamma on the
+    same sample grid. What is left is the split-step's dt^2 error."""
+
+    HBAR, DT, EVERY = 0.01, 0.002, 10
+
+    def drives(self, k, box, widths, delta, n_steps):
+        """The quantum and classical drive differences, on one sample grid,
+        of the packets or orbits from the origin at rest and from delta."""
+        model = InvertedHarmonic(k)
+        grid = Grid2D(128, 128, box, box, self.HBAR)
+        starts = (PhasePoint(0.0, 0.0, 0.0, 0.0), PhasePoint(*delta))
+        quantum = DriveDifference.from_expectations(*(propagate_wavepacket(
+            init_gaussian(grid, z, widths), model, self.DT, n_steps,
+            self.EVERY)[0] for z in starts))
+        full = DriveDifference.from_trajectories(*(
+            propagate(model, z, self.DT, n_steps) for z in starts))
+        every = slice(None, None, self.EVERY)
+        classical = DriveDifference(full.t[every], full.df_x[every],
+                                    full.df_y[every])
+        return quantum, classical
+
+    @staticmethod
+    def gamma_gap(quantum, classical):
+        """The largest relative gap of the two gammas after t = 0."""
+        gq, gc = (asymptotic_exponent(dd, 1.0, 1.0).gamma[1:]
+                  for dd in (quantum, classical))
+        return float(np.max(np.abs(gq - gc) / gc))
+
+    def test_packets_at_rest_give_the_classical_gamma(self):
+        width = math.sqrt(self.HBAR / 2)
+        quantum, classical = self.drives(1.0, 3.2, (width, width),
+                                         (1e-4,) * 4, 750)
+        assert self.gamma_gap(quantum, classical) <= 1e-6
+
+    @pytest.mark.parametrize("k", [0.25, 1.0])
+    def test_unstable_manifold_grows_at_twice_lambda(self, k):
+        # delta on the unstable manifold grows as exp(lambda t) from t = 0
+        lam = math.sqrt(k)
+        widths = (math.sqrt(self.HBAR / (2 * lam)), math.sqrt(self.HBAR / 2))
+        delta = (1e-4, 0.0, 1e-4 * lam, 0.0)
+        quantum, classical = self.drives(k, 4.0, widths, delta,
+                                         round(1.5 / lam / self.DT))
+        assert self.gamma_gap(quantum, classical) <= 1e-5
+        rate = np.polyfit(quantum.t, np.log(quantum.squared_magnitude()), 1)[0]
+        assert abs(rate - 2 * lam) <= 1e-4

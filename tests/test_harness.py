@@ -446,6 +446,17 @@ class TestRunExperiment:
         assert sorted(os.listdir(record.path)) == sorted(
             [*files, "record.json"])
 
+    def test_record_holds_no_copy_of_the_config(self, tmp_path):
+        # a run's config is its config.snapshot, pinned by the manifest;
+        # compare's results name both sub-run directories, which hold theirs
+        cfg = load_config(write_yaml(tmp_path, SMALL_RUN))
+        root = str(tmp_path / "runs")
+        run = run_experiment(cfg, root)
+        assert load_config(os.path.join(run.path, "config.snapshot")) == cfg
+        for record in (run, compare_command(cfg, cfg, root)):
+            payload = json.loads(Path(record.path, "record.json").read_text())
+            assert "config" not in payload
+
     def test_classical_gamma_is_the_recorded_column(self, tmp_path):
         # compare reads a sub-run's exponent from memory; %.17g round-trips
         # a double, so the column holds the same bits
@@ -601,7 +612,7 @@ class TestRunExperiment:
                            i=np.int64(3), a=np.array([1.0, 2.5]))
         run.check("c", np.float64(0.25), np.int64(1), np.bool_(True))
         run.check("d", np.array([1, 2]), None, np.float64(0.0))
-        record = run.record({})
+        record = run.record()
         with open(os.path.join(record.path, "record.json")) as fh:
             payload = json.load(fh)
         assert payload["results"] == {"a": [1.0, 2.5], "b": True, "f": 0.1,
@@ -1227,7 +1238,7 @@ class TestCli:
         assert cli_main(["validate-config", "--config", str(path)]) == 1
         assert f"cannot parse {path}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["slug", "output_dir"])
+    @pytest.mark.parametrize("key", ["slug"])
     @pytest.mark.parametrize("value", ["run\0x", "run\ud800"],
                              ids=["nul", "lone-surrogate"])
     def test_path_no_file_system_takes_exits_1(self, tmp_path, capsys, key,
@@ -1359,6 +1370,27 @@ class TestCli:
                                    "message": "Unable to allocate 8.00 TiB"}
         # what the run gathered before the failure is kept and checksummed
         assert "classical.csv" in record["manifest"]
+
+    @pytest.mark.parametrize("command, work", [
+        ("propagate", "propagate"), ("lyapunov", "max_lyapunov")])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch,
+                                  command, work):
+        # as numpy fails to allocate the orbit of 2**40 steps
+        monkeypatch.setattr(f"decochaos.harness.{work}", no_memory)
+        data = copy.deepcopy(SMALL_RUN)
+        data["lyapunov"] = {"total_time": 200.0, "renorm_interval": 1.0}
+        out = tmp_path / "x.csv"
+        assert cli_main([command, "--config", write_yaml(tmp_path, data),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("runtime failure: Unable to "
+                                           "allocate 8.00 TiB\n")
+        assert not out.exists()
+
+    def test_output_dir_is_an_unknown_key(self, tmp_path, capsys):
+        # the output root is --out, else $DECOCHAOS_RUNS, else ./runs
+        path = write_yaml(tmp_path, {**MINIMAL, "output_dir": "runs"})
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert "  - unknown config key 'output_dir'" in capsys.readouterr().err
 
     def test_engine_override_revalidates(self, tmp_path):
         # quantum engine needs a grid section; the override must not
@@ -1563,7 +1595,7 @@ class TestCli:
         def never(*args, **kwargs):
             raise AssertionError(f"{work} ran before --out was checked")
 
-        monkeypatch.setattr(f"decochaos.cli.{work}", never)
+        monkeypatch.setattr(f"decochaos.harness.{work}", never)
         data = copy.deepcopy(SMALL_RUN)
         data["lyapunov"] = {"total_time": 200.0, "renorm_interval": 1.0}
         path = write_yaml(tmp_path, data)
@@ -1645,7 +1677,6 @@ class TestCli:
 # three places of it at a time.
 FULL = {
     "schema_version": 1, "seed": 3, "engine": "both", "slug": "full",
-    "output_dir": "runs",
     "model": {"family": "separable_quartic",
               "params": {"a": 1.0, "b": 1.0}, "mass": 1.0},
     "initial": {"z": [0.4, 0.3, 0.47, 0.3],
@@ -1740,10 +1771,10 @@ _fuzz_values = st.one_of(
 
 @st.composite
 def _one_field_changed(draw):
-    """A FUZZ_BASES config with one field set or deleted; slug and
-    output_dir are drawn as often as all other fields together."""
+    """A FUZZ_BASES config with one field set or deleted; slug is drawn
+    as often as all other fields together."""
     data = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
-    path = draw(st.one_of(st.sampled_from([("slug",), ("output_dir",)]),
+    path = draw(st.one_of(st.just(("slug",)),
                           st.sampled_from([p for p in _paths(data) if p])))
     node = data
     for key in path[:-1]:
@@ -1758,7 +1789,6 @@ def _one_field_changed(draw):
 
 @settings(max_examples=300, deadline=None)
 @example(data={**FULL, "slug": "run\0"})
-@example(data={**FULL, "output_dir": "runs\0"})
 @given(data=_one_field_changed())
 def test_accepted_config_names_a_run_directory_the_os_takes(data):
     try:
@@ -1767,4 +1797,4 @@ def test_accepted_config_names_a_run_directory_the_os_takes(data):
         return
     # a NUL or lone surrogate raises ValueError here, as in os.makedirs
     with contextlib.suppress(OSError):
-        os.stat(os.path.join(config.output_dir or "runs", f"x-{config.slug}"))
+        os.stat(os.path.join("runs", f"x-{config.slug}"))
