@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .series import (DecoherenceSeries, DriveDifference, _check_count,
-                     _finite_real, uniform_dt)
+                     _check_positive, uniform_dt)
 
 __all__ = [
     "SpectralDensity",
@@ -49,19 +49,13 @@ class SpectralDensity:
     omega_max: float
 
     def __post_init__(self):
-        for name in ("coupling", "omega_max"):
-            value = getattr(self, name)
-            if not (_finite_real(value) and value > 0):
-                raise DomainError(f"{name} must be a positive finite number")
-
-    @property
-    def max_drive_step(self) -> float:
-        """Coarsest drive step that resolves the cutoff, pi/(10 omega_max)."""
-        return DRIVE_SAMPLING_FACTOR / self.omega_max
+        _check_positive("coupling", self.coupling)
+        _check_positive("omega_max", self.omega_max)
 
     def check_drive_step(self, dt: float, name: str = "drive step dt"):
-        """Raise DomainError if a drive sampled every dt aliases the cutoff."""
-        limit = self.max_drive_step
+        """Raise DomainError if a drive sampled every dt aliases the
+        cutoff: the coarsest step that resolves it is pi/(10 omega_max)."""
+        limit = DRIVE_SAMPLING_FACTOR / self.omega_max
         if dt > limit * (1 + 1e-12):
             raise DomainError(f"{name} = {dt:g} aliases the bath cutoff; "
                               f"need dt <= pi/(10*omega_max) = {limit:g}")
@@ -207,8 +201,7 @@ def decoherence_exponent_oracle(bath: BathDiscretization,
     memory. Roundoff negatives of a gamma that returns to zero are
     clamped to 0.
     """
-    if not (_finite_real(temperature) and temperature > 0):
-        raise DomainError("temperature must be a positive finite number")
+    _check_positive("temperature", temperature)
     omega_0, step = _mode_grid(bath.omegas)
     bath.spectral.check_drive_step(dd.dt)
 

@@ -9,6 +9,7 @@ substep, which keeps the linearized map symplectic to roundoff.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,9 +157,10 @@ def max_lyapunov(model: HamiltonianModel, z0: PhasePoint, dt: float,
     """
     _check_step(dt, 1)
     if not (_finite_real(total_time) and _finite_real(renorm_interval)
-            and total_time >= 10.0 * renorm_interval >= 100.0 * dt):
-        raise DomainError("need finite total_time >= 10*renorm_interval and "
-                          "renorm_interval >= 10*dt")
+            and total_time >= 10.0 * renorm_interval >= 100.0 * dt
+            and total_time / dt <= sys.maxsize):
+        raise DomainError("need finite total_time >= 10*renorm_interval >= "
+                          "100*dt and total_time/dt <= sys.maxsize steps")
     k = max(1, round(renorm_interval / dt))
     n_renorms = max(1, round(total_time / (k * dt)))
 

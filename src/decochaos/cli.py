@@ -1,8 +1,8 @@
 """Command line entry points.
 
 Exit codes: 0 success, 1 configuration/validation error or a file that
-cannot be read or written, 2 runtime failure, a MemoryError included
-(partial outputs are kept in the run directory).
+cannot be read or written, 2 runtime failure, a MemoryError or an
+OverflowError included (partial outputs are kept in the run directory).
 """
 from __future__ import annotations
 
@@ -203,9 +203,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SimulationError, MemoryError, ChildProcessError) as exc:
-        # MemoryError: a count no memory holds, such as an orbit of 2**40
-        # steps; ChildProcessError: a forked helper died without a result
+    except (SimulationError, MemoryError, OverflowError,
+            ChildProcessError) as exc:
+        # a count no memory holds (an orbit of 2**40 steps), a number past
+        # the float range, or a forked helper that died without a result
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

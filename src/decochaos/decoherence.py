@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError
 from .series import (DecoherenceSeries, DriveDifference, ExpectationSeries,
-                     _finite_real, cumulative_trapezoid, uniform_dt)
+                     _check_positive, _check_real, cumulative_trapezoid,
+                     uniform_dt)
 
 __all__ = [
     "asymptotic_exponent",
@@ -39,9 +40,8 @@ def asymptotic_exponent(dd: DriveDifference, coupling: float,
     Non-decreasing by construction and zero exactly when the two drives
     coincide on the grid.
     """
-    if not all(_finite_real(v) and v > 0 for v in (coupling, temperature)):
-        raise DomainError("coupling and temperature must be positive finite "
-                          "numbers")
+    _check_positive("coupling", coupling)
+    _check_positive("temperature", temperature)
     dt = dd.dt
     integrand = dd.squared_magnitude()
     gamma = 0.5 * coupling * temperature * cumulative_trapezoid(integrand, dt)
@@ -96,10 +96,9 @@ class HartreeErrorEstimate:
 def hartree_error(varseries: ExpectationSeries, coupling: float,
                   omega_max: float, t_eval: float) -> HartreeErrorEstimate:
     """Weighted time average of the position variances up to t_eval."""
-    if not (all(map(_finite_real, (coupling, omega_max, t_eval)))
-            and coupling > 0 and omega_max > 0):
-        raise DomainError("coupling and omega_max must be positive finite "
-                          "numbers and t_eval a finite number")
+    _check_positive("coupling", coupling)
+    _check_positive("omega_max", omega_max)
+    _check_real("t_eval", t_eval)
     t = varseries.t
     if t_eval <= t[0] or t_eval > t[-1] * (1 + 1e-12):
         raise DomainError(
@@ -163,13 +162,13 @@ def compare_regimes(regular: RegimeRun, chaotic: RegimeRun,
                               t_grid[-1]) if x is not None)
     t = t_grid[t_grid <= horizon * (1 + 1e-12)]
     if t.size < 2:
-        raise GridMismatchError("comparison grid has no overlap with the "
-                                "Ehrenfest horizons")
+        raise DomainError("comparison grid has no overlap with the "
+                          "Ehrenfest horizons")
 
     def sample(run):
         g = run.gamma
         if t[0] < g.t[0] - 1e-12 or t[-1] > g.t[-1] * (1 + 1e-12):
-            raise GridMismatchError(
+            raise DomainError(
                 f"run {run.label!r} does not cover the comparison grid")
         return np.interp(t, g.t, g.gamma)
 

@@ -18,20 +18,12 @@ class FitError(SimulationError):
     """A scaling fit could not be performed on the given window."""
 
 
-class GridError(SimulationError, ValueError):
-    """Invalid spatial grid specification."""
-
-
 class BoundaryLeakError(SimulationError):
     """Wavepacket density at the box edge exceeded the leak tolerance."""
 
 
 class NormDriftError(SimulationError):
     """Wavefunction norm drifted beyond tolerance during propagation."""
-
-
-class GridMismatchError(SimulationError):
-    """Two sampled series do not live on compatible time grids."""
 
 
 class ConfigError(SimulationError, ValueError):

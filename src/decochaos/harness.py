@@ -324,6 +324,9 @@ def _parse_config(data: dict) -> ExperimentConfig:
                 raise ConfigError([f"lyapunov: total_time/renorm_interval "
                                    f"blocks size an array of more than "
                                    f"{sys.maxsize} bytes"])
+            if step is not None and total / step > sys.maxsize:
+                raise ConfigError([f"lyapunov: total_time/dt is more than "
+                                   f"{sys.maxsize} steps"])
             lyap = LyapunovSpec(float(total), float(renorm), own_dt)
 
     with section("grid"):
@@ -765,7 +768,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunRecord:
         if config.engine in ("quantum", "both"):
             _gamma_stage(config, run, _quantum_stage(config, run, pair),
                          "quantum")
-    except (SimulationError, MemoryError, ChildProcessError) as exc:
+    except (SimulationError, MemoryError, OverflowError,
+            ChildProcessError) as exc:
         # ChildProcessError: a forked helper (_beside) died without a result
         error = {"type": type(exc).__name__, "message": str(exc)}
     return run.record(error)
@@ -795,14 +799,12 @@ def compare_command(config_regular: ExperimentConfig,
             problems.append("matching rule violated: bath.coupling differs")
         if br.temperature != bc.temperature:
             problems.append("matching rule violated: bath.temperature differs")
-        nr = math.sqrt(sum(v * v for v in config_regular.initial.delta_z))
-        nc = math.sqrt(sum(v * v for v in config_chaotic.initial.delta_z))
+        (nr, e_r), (nc, e_c) = (
+            (math.sqrt(sum(v * v for v in cfg.initial.delta_z)),
+             cfg.model.build().total_energy(PhasePoint(*cfg.initial.z)))
+            for cfg in (config_regular, config_chaotic))
         if not math.isclose(nr, nc, rel_tol=1e-9):
             problems.append("matching rule violated: |delta_z| differs")
-        e_r = config_regular.model.build().total_energy(
-            PhasePoint(*config_regular.initial.z))
-        e_c = config_chaotic.model.build().total_energy(
-            PhasePoint(*config_chaotic.initial.z))
         if abs(e_r - e_c) > 0.01 * max(abs(e_r), abs(e_c)):
             problems.append(
                 f"matching rule violated: energies {e_r:g} and {e_c:g} "

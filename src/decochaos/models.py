@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import _finite_real
+from .series import _check_positive, _check_real
 
 __all__ = [
     "PhasePoint",
@@ -43,9 +43,7 @@ class PhasePoint:
     def __post_init__(self):
         for name in ("qx", "qy", "px", "py"):
             v = getattr(self, name)
-            if not _finite_real(v):
-                raise DomainError(f"PhasePoint.{name} must be a finite real "
-                                  f"number, got {v!r}")
+            _check_real(f"PhasePoint.{name}", v)
             object.__setattr__(self, name, float(v))
 
     def as_array(self) -> np.ndarray:
@@ -70,20 +68,17 @@ class HamiltonianModel:
     Subclasses implement ``potential_xy``, ``force`` (minus the
     gradient) and ``hessian_xy`` with plain arithmetic so both scalars
     and arrays pass through, and pass their parameters to this
-    constructor, which stores each as a float attribute once it is a
-    finite real number.
+    constructor, which stores each, and the positive mass, as a float
+    attribute once it is a finite real number.
     """
 
     family = "base"
 
     def __init__(self, mass: float = 1.0, **params):
+        _check_positive("mass", mass)
         for name, value in {"mass": mass, **params}.items():
-            if not _finite_real(value):
-                raise DomainError(f"{name} must be a finite real number, "
-                                  f"got {value!r}")
+            _check_real(name, value)
             setattr(self, name, float(value))
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {mass!r}")
 
     # family-specific pieces -------------------------------------------------
 
@@ -131,8 +126,8 @@ class Harmonic2D(HamiltonianModel):
     def __init__(self, omega_x: float = 1.0, omega_y: float = 1.0,
                  mass: float = 1.0):
         super().__init__(mass, omega_x=omega_x, omega_y=omega_y)
-        if not (omega_x > 0 and omega_y > 0):
-            raise DomainError("Harmonic2D frequencies must be positive")
+        _check_positive("omega_x", omega_x)
+        _check_positive("omega_y", omega_y)
 
     def potential_xy(self, qx, qy):
         return 0.5 * self.mass * (self.omega_x ** 2 * qx ** 2
@@ -161,8 +156,7 @@ class InvertedHarmonic(HamiltonianModel):
 
     def __init__(self, k: float = 1.0, mass: float = 1.0):
         super().__init__(mass, k=k)
-        if not k > 0:
-            raise DomainError("InvertedHarmonic stiffness k must be positive")
+        _check_positive("k", k)
 
     def potential_xy(self, qx, qy):
         return 0.5 * self.mass * (-self.k * qx ** 2 + qy ** 2)
@@ -210,8 +204,7 @@ class HenonHeiles(HamiltonianModel):
 
     def __init__(self, lam: float = 1.0, mass: float = 1.0):
         super().__init__(mass, lam=lam)
-        if not lam > 0:
-            raise DomainError("HenonHeiles coupling lam must be positive")
+        _check_positive("lam", lam)
         self._2lam = 2.0 * self.lam    # 2.0 * lam * q == _2lam * q, bitwise
 
     def potential_xy(self, qx, qy):
@@ -235,8 +228,7 @@ class PullenEdmonds(HamiltonianModel):
 
     def __init__(self, alpha: float = 1.0, mass: float = 1.0):
         super().__init__(mass, alpha=alpha)
-        if not alpha > 0:
-            raise DomainError("PullenEdmonds coupling alpha must be positive")
+        _check_positive("alpha", alpha)
         self._2alpha = 2.0 * self.alpha    # as in HenonHeiles
         self._4alpha = 4.0 * self.alpha
 

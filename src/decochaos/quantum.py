@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryLeakError, DomainError, GridError,
-                     GridMismatchError, NormDriftError)
+from .errors import BoundaryLeakError, DomainError, NormDriftError
 from .models import HamiltonianModel, PhasePoint
-from .series import (ExpectationSeries, Trajectory, _check_count, _check_step,
-                     _finite_real)
+from .series import (ExpectationSeries, Trajectory, _check_count,
+                     _check_positive, _check_step, _finite_real)
 
 __all__ = [
     "Grid2D",
@@ -39,11 +38,6 @@ __all__ = [
 
 BOUNDARY_DENSITY_TOL = 1e-10
 NORM_DRIFT_TOL = 1e-8
-
-
-def _is_pow2(n) -> bool:
-    return (isinstance(n, int) and not isinstance(n, bool) and n >= 1
-            and (n & (n - 1)) == 0)
 
 
 class Grid2D:
@@ -66,14 +60,15 @@ class Grid2D:
 
     def __init__(self, nx: int, ny: int, lx: float, ly: float,
                  hbar_eff: float = 1.0):
-        if not (_is_pow2(nx) and _is_pow2(ny) and nx >= 64 and ny >= 64):
-            raise GridError("nx and ny must be integer powers of two >= 64")
+        for name, n in (("nx", nx), ("ny", ny)):
+            _check_count(name, n, 64)
+            if n & (n - 1):
+                raise DomainError(f"{name} must be a power of two, got {n!r}")
         if 16 * nx * ny > sys.maxsize:
-            raise GridError(f"a {nx} x {ny} grid of complex amplitudes needs "
-                            f"more than {sys.maxsize} bytes")
+            raise DomainError(f"a {nx} x {ny} grid of complex amplitudes "
+                              f"needs more than {sys.maxsize} bytes")
         for name, v in (("lx", lx), ("ly", ly), ("hbar_eff", hbar_eff)):
-            if not (_finite_real(v) and v > 0):
-                raise GridError(f"{name} must be a positive finite number")
+            _check_positive(name, v)
         self.nx, self.ny = nx, ny
         self.lx, self.ly = float(lx), float(ly)
         self.hbar = float(hbar_eff)
@@ -102,11 +97,11 @@ class Grid2D:
         below a tenth of the box."""
         if not (isinstance(widths, (list, tuple)) and len(widths) == 2
                 and all(map(_finite_real, widths))):
-            raise GridError(f"widths must be two numbers, got {widths!r}")
+            raise DomainError(f"widths must be two numbers, got {widths!r}")
         sx, sy = float(widths[0]), float(widths[1])
         if not (2.0 * self.dx < sx < self.lx / 10.0
                 and 2.0 * self.dy < sy < self.ly / 10.0):
-            raise GridError(
+            raise DomainError(
                 f"widths ({sx:g}, {sy:g}) must exceed two grid cells "
                 f"({2 * self.dx:g}, {2 * self.dy:g}) and stay below a "
                 f"tenth of the box ({self.lx / 10:g}, {self.ly / 10:g})")
@@ -233,12 +228,11 @@ def ehrenfest_break_time(qseries: ExpectationSeries, traj: Trajectory,
     crossing time (linearly interpolated between samples) or None if
     the deviation never exceeds threshold in the window.
     """
-    if not (_finite_real(threshold) and threshold > 0):
-        raise DomainError("threshold must be positive finite")
+    _check_positive("threshold", threshold)
     tq = qseries.t
     pad = 1e-9 * max(1.0, abs(float(traj.t[-1])))
     if tq[0] < traj.t[0] - pad or tq[-1] > traj.t[-1] + pad:
-        raise GridMismatchError(
+        raise DomainError(
             f"classical trajectory covers [{traj.t[0]:g}, {traj.t[-1]:g}] "
             f"but the quantum series spans [{tq[0]:g}, {tq[-1]:g}]")
     cx = np.interp(tq, traj.t, traj.z[:, 0])

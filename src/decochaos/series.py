@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DomainError
 
 __all__ = [
     "Trajectory",
@@ -36,13 +36,27 @@ def uniform_dt(t: np.ndarray) -> float:
 def same_grid(ta: np.ndarray, tb: np.ndarray) -> None:
     if ta.shape != tb.shape or not np.allclose(ta, tb, rtol=_GRID_RTOL,
                                                atol=1e-12):
-        raise GridMismatchError("series are sampled on different time grids")
+        raise DomainError("series are sampled on different time grids")
 
 
 def _finite_real(value) -> bool:
     """An int or float within the float range; a bool is not a number."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _check_real(name, value):
+    """The library's number rule: a finite real (_finite_real)."""
+    if not _finite_real(value):
+        raise DomainError(f"{name} must be a finite real number, "
+                          f"got {value!r}")
+
+
+def _check_positive(name, value):
+    """The library's positive-number rule: a finite real above 0."""
+    if not (_finite_real(value) and value > 0):
+        raise DomainError(f"{name} must be a positive finite number, "
+                          f"got {value!r}")
 
 
 def _check_count(name, n, least=1):
@@ -53,10 +67,9 @@ def _check_count(name, n, least=1):
 
 
 def _check_step(dt, n_steps):
-    """The integrators' step rule: dt a positive finite number and
+    """The integrators' step rule: dt positive (_check_positive) and
     n_steps a count (_check_count)."""
-    if not (_finite_real(dt) and dt > 0):
-        raise DomainError(f"dt must be a positive finite number, got {dt!r}")
+    _check_positive("dt", dt)
     _check_count("n_steps", n_steps)
 
 

@@ -311,7 +311,6 @@ class TestOracle:
     def test_aliasing_bound_is_pi_over_ten_omega_max(self):
         # the bound is set by the cutoff, not by the top midpoint mode
         sd = SpectralDensity(1.0, 10.0)
-        assert sd.max_drive_step == np.pi / 100.0
         bath = discretize_bath(sd, 2000)
         for dt, ok in ((np.pi / 100.0, True), (0.03142, False)):
             t = dt * np.arange(101)

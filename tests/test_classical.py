@@ -6,8 +6,7 @@ from decochaos.classical import (_substeps, _tangent_steps, classify_scaling,
                                  divergence_from_trajectories,
                                  divergence_integral, max_lyapunov,
                                  position_diameter, propagate)
-from decochaos.errors import (DomainError, EscapeError, FitError,
-                              GridMismatchError)
+from decochaos.errors import DomainError, EscapeError, FitError
 from decochaos.models import (Harmonic2D, HenonHeiles, InvertedHarmonic,
                               PhasePoint, PullenEdmonds, SeparableQuartic)
 from decochaos.series import DivergenceSeries
@@ -251,13 +250,24 @@ class TestMaxLyapunov:
                          total_time, renorm_interval, seed=1)
 
 
+    @pytest.mark.parametrize("dt, total_time, renorm_interval", [
+        (1.0e-320, 200.0, 2.0), (0.001, 1.0e+308, 1.0e+306)],
+        ids=["subnormal-dt", "float-range-total"])
+    def test_steps_past_sys_maxsize_rejected(self, dt, total_time,
+                                             renorm_interval):
+        # renorm_interval/dt overflows a float before any step is taken
+        with pytest.raises(DomainError, match="sys.maxsize steps"):
+            max_lyapunov(Harmonic2D(1, 1), PhasePoint(1, 0, 0, 0), dt,
+                         total_time, renorm_interval, seed=1)
+
+
 class TestDivergenceIntegral:
     @pytest.mark.parametrize("dt_b, n_b", [(0.01, 200), (0.02, 100)],
                              ids=["more-samples", "other-step"])
     def test_orbits_on_different_grids_are_rejected(self, dt_b, n_b):
         model, z0 = Harmonic2D(1.0, 1.0), PhasePoint(1.0, 0.0, 0.0, 0.5)
         ta = propagate(model, z0, 0.01, 100)
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(DomainError):
             divergence_from_trajectories(model, ta,
                                          propagate(model, z0, dt_b, n_b))
 

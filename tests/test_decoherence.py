@@ -10,7 +10,7 @@ from decochaos.classical import propagate
 from decochaos.decoherence import (HartreeErrorEstimate, RegimeRun,
                                    asymptotic_exponent, compare_regimes,
                                    hartree_error, weight_w)
-from decochaos.errors import DomainError, GridMismatchError
+from decochaos.errors import DomainError
 from decochaos.models import InvertedHarmonic, PhasePoint
 from decochaos.quantum import Grid2D, init_gaussian, propagate_wavepacket
 from decochaos.series import (DecoherenceSeries, DriveDifference,
@@ -227,7 +227,7 @@ class TestCompareRegimes:
         t_long = np.linspace(0.0, 10.0, 101)
         reg = RegimeRun("r", synthetic_gamma(t_short, t_short))
         cha = RegimeRun("c", synthetic_gamma(t_short, 2 * t_short))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(DomainError):
             compare_regimes(reg, cha, t_long)
 
 

@@ -1021,7 +1021,7 @@ class TestForked:
             harness._beside(nothing, os._exit, 3)
 
     @pytest.mark.parametrize("exc", [
-        EscapeError("escaped", 1.5, PhasePoint(1.0, 0.0, 0.0, 0.5)),
+        EscapeError("escaped at t=1.5"),
         ConfigError(["a: bad", "b: worse"]),
         ConfigError(["a: bad"], "experiment.yaml")],
         ids=["EscapeError", "ConfigError", "ConfigError-path"])
@@ -1038,7 +1038,7 @@ class TestForked:
     def test_here_failing_is_raised_and_the_child_reaped(self,
                                                          no_child_left):
         def fail():
-            raise EscapeError("here escaped", 2.0, None)
+            raise EscapeError("here escaped at t=2")
 
         with pytest.raises(EscapeError, match="here escaped"):
             harness._beside(fail, np.copy, np.arange(100_000.0))
@@ -1049,7 +1049,7 @@ class TestForked:
             raise ConfigError(["here: bad"])
 
         def fail():
-            raise EscapeError("there escaped", 1.0, None)
+            raise EscapeError("there escaped at t=1")
 
         with pytest.raises(ConfigError, match="here: bad"):
             if there == "raises":
@@ -1353,6 +1353,26 @@ class TestCli:
         assert "  - lyapunov" in capsys.readouterr().err
         assert not runs.exists()
 
+    @pytest.mark.parametrize("lyapunov", [
+        {"total_time": 200.0, "renorm_interval": 2.0, "dt": 1.0e-320},
+        {"total_time": 1.0e+308, "renorm_interval": 1.0e+306, "dt": None}],
+        ids=["subnormal-dt", "float-range-total"])
+    def test_lyapunov_steps_past_sys_maxsize_exit_1(self, tmp_path, capsys,
+                                                    lyapunov):
+        # renorm_interval/dt overflows a float: one error, no run directory
+        with open(os.path.join(CONFIG_DIR, "chaotic_henon_full.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["lyapunov"] = lyapunov
+        path = write_yaml(tmp_path, data)
+        runs = tmp_path / "runs"
+        assert cli_main(["validate-config", "--config", path]) == 1
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(runs)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("  - lyapunov: total_time/dt is more than") == 2
+        assert err.count("  - ") == 2
+        assert not runs.exists()
+
     def test_seed_keeps_its_range(self, tmp_path):
         path = write_yaml(tmp_path, {**MINIMAL, "seed": 10 ** 30})
         assert cli_main(["validate-config", "--config", path]) == 0
@@ -1385,6 +1405,40 @@ class TestCli:
         assert capsys.readouterr().err == ("runtime failure: Unable to "
                                            "allocate 8.00 TiB\n")
         assert not out.exists()
+
+    def test_orbit_past_the_float_range_leaves_a_record(self, tmp_path,
+                                                        capsys):
+        data = {**SMALL_RUN, "model": {"family": "separable_quartic"},
+                "initial": {**SMALL_RUN["initial"],
+                            "z": [1.0e+200, 0.0, 0.0, 0.0]}}
+        path = write_yaml(tmp_path, data)
+        assert cli_main(["decohere", "--config", path, "--out",
+                         str(tmp_path / "runs")]) == 2
+        (rundir,) = os.listdir(tmp_path / "runs")
+        with open(tmp_path / "runs" / rundir / "record.json") as fh:
+            record = json.load(fh)
+        assert record["error"]["type"] == "OverflowError"
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert cli_main(["propagate", "--config", path, "--out",
+                         str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_compare_energy_past_the_float_range_exits_2(self, tmp_path,
+                                                         capsys):
+        # the energy-matching rule squares the momentum 1e200
+        fast = {**SMALL_RUN, "initial": {**SMALL_RUN["initial"],
+                                         "z": [1.0, 0.0, 1.0e+200, 0.0]}}
+        runs = tmp_path / "runs"
+        assert cli_main(["compare", "--config", write_yaml(tmp_path, fast),
+                         "--config-chaotic",
+                         write_yaml(tmp_path, SMALL_RUN, "chaotic.yaml"),
+                         "--out", str(runs)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime failure: ") and err.count("\n") == 1
+        assert not runs.exists()
 
     def test_output_dir_is_an_unknown_key(self, tmp_path, capsys):
         # the output root is --out, else $DECOCHAOS_RUNS, else ./runs

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from decochaos.classical import position_diameter, propagate
-from decochaos.errors import (BoundaryLeakError, DomainError, GridError,
-                              GridMismatchError)
+from decochaos.errors import BoundaryLeakError, DomainError
 from decochaos.models import (MODEL_FAMILIES, Harmonic2D, PhasePoint,
                               PullenEdmonds, SeparableQuartic, make_model)
 from decochaos.quantum import (Grid2D, _moments, ehrenfest_break_time,
@@ -28,13 +27,13 @@ def grid64():
 
 class TestGrid:
     def test_rejects_bad_sizes(self):
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             Grid2D(100, 128, 10.0, 10.0)
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             Grid2D(32, 32, 10.0, 10.0)
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             Grid2D(64, 64, -1.0, 10.0)
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             Grid2D(64, 64, 10.0, 10.0, hbar_eff=0.0)
 
     @pytest.mark.parametrize("args", [
@@ -42,7 +41,7 @@ class TestGrid:
         (64, 64, "10", 10.0), (64, 64, 10.0, np.inf),
         (64, 64, 10.0, 10.0, None)])
     def test_rejects_wrong_types(self, args):
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             Grid2D(*args)
 
     def test_construction_allocates_no_mesh(self):
@@ -171,9 +170,9 @@ class TestInitGaussian:
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_width_constraints(self, grid64):
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             init_gaussian(grid64, PhasePoint(0, 0, 0, 0), (0.1, 0.5))
-        with pytest.raises(GridError):
+        with pytest.raises(DomainError):
             init_gaussian(grid64, PhasePoint(0, 0, 0, 0), (0.5, 2.0))
 
 
@@ -352,7 +351,7 @@ class TestBreakTime:
         traj = Trajectory(t_short, np.zeros((51, 4)), np.zeros(51))
         series = ExpectationSeries(t_long, np.zeros((101, 2)),
                                    np.zeros((101, 2)))
-        with pytest.raises(GridMismatchError):
+        with pytest.raises(DomainError):
             ehrenfest_break_time(series, traj, 0.1)
 
     def test_chaotic_breaks_before_regular(self):
